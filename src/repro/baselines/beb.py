@@ -87,6 +87,14 @@ class BinaryExponentialBackoff(Protocol):
             w = self.current_backoff_window()
             self._next_tx_age = age + 1 + int(self.ctx.rng.integers(w))
 
+    def next_wake(self, slot: int) -> int:
+        """Sparse wake-up: the pre-drawn next attempt (see :class:`Protocol`).
+
+        Feedback matters only on the attempt itself, which is where the
+        next backoff window is drawn.
+        """
+        return self.start_slot + self._next_tx_age
+
 
 def beb_factory(initial_window: int = 1, max_exponent: Optional[int] = 16):
     """A :data:`~repro.sim.engine.ProtocolFactory` running BEB."""

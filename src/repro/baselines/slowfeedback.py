@@ -58,15 +58,15 @@ class SlowFeedbackBackoff(Protocol):
         self.budget = budget
         self.base = base
         self.epoch_len = 0  # set by _start_epoch
-        self.epoch_pos = 0
+        self.epoch_start = 0  # local age of the current epoch's first slot
         self._sends: list = []  # ascending send offsets of this epoch
         self._send_i = 0  # next offset to compare against
         self.last_p = 0.0
-        self._start_epoch(base)
+        self._start_epoch(base, 0)
 
-    def _start_epoch(self, length: int) -> None:
+    def _start_epoch(self, length: int, start: int) -> None:
         self.epoch_len = length
-        self.epoch_pos = 0
+        self.epoch_start = start
         self._send_i = 0
         k = min(self.budget, length)
         picks = self.ctx.rng.choice(length, size=k, replace=False)
@@ -76,10 +76,10 @@ class SlowFeedbackBackoff(Protocol):
         # Expected send rate of the epoch; the actual decision is the
         # pre-committed offset list (no per-slot randomness or feedback).
         self.last_p = min(self.budget, self.epoch_len) / self.epoch_len
-        if (
-            self._send_i < len(self._sends)
-            and self._sends[self._send_i] == self.epoch_pos
-        ):
+        # The epoch position comes from the slot, not from counting
+        # calls, so an engine may skip the slots between wake-ups.
+        pos = self.local_age(slot) - self.epoch_start
+        if self._send_i < len(self._sends) and self._sends[self._send_i] == pos:
             self._send_i += 1
             return DataMessage(self.ctx.job_id)
         return None
@@ -87,9 +87,21 @@ class SlowFeedbackBackoff(Protocol):
     def on_observe(self, slot: int, obs: Observation) -> None:
         # Slow feedback: nothing in ``obs`` is consumed (the base class
         # already latched own-success, which stops the protocol).
-        self.epoch_pos += 1
-        if self.epoch_pos >= self.epoch_len and not self.succeeded:
-            self._start_epoch(self.epoch_len * 2)
+        age = self.local_age(slot)
+        if age + 1 - self.epoch_start >= self.epoch_len and not self.succeeded:
+            self._start_epoch(self.epoch_len * 2, age + 1)
+
+    def next_wake(self, slot: int) -> int:
+        """Sparse wake-up: the next send offset, else the epoch's last slot.
+
+        The last slot of an epoch is where the next epoch's offsets are
+        drawn (see :class:`Protocol`).
+        """
+        if self._send_i < len(self._sends):
+            offset = self._sends[self._send_i]
+        else:
+            offset = self.epoch_len - 1
+        return self.start_slot + self.epoch_start + offset
 
 
 def slowfeedback_factory(budget: int = 2, base: int = 2):

@@ -86,6 +86,19 @@ class WindowedBackoff(Protocol):
             self._window_size = self._checked_size(self.attempt)
             self._tx_offset = int(self.ctx.rng.integers(self._window_size))
 
+    def next_wake(self, slot: int) -> int:
+        """Sparse wake-up: the window's send slot, else its last slot.
+
+        The last slot of a window is where the next window is drawn, so
+        the job must see that slot even after its send (see
+        :class:`Protocol`).
+        """
+        age = slot - self.start_slot
+        tx = self._window_start + self._tx_offset
+        if tx < age:
+            tx = self._window_start + self._window_size - 1
+        return self.start_slot + tx
+
 
 def _factory(schedule: GrowthSchedule, name: str):
     def make(job: Job, rng: np.random.Generator) -> WindowedBackoff:

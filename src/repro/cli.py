@@ -1365,7 +1365,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream_impl(args: argparse.Namespace, trk=None) -> int:
-    from repro.stream import CheckpointConfig, stream_simulate
+    from repro.stream import CheckpointConfig, CheckpointError, stream_simulate
     from repro.stream.report import SustainedLoadReport
     from repro.stream.shard import StreamShardSpec, run_stream_shards
 
@@ -1380,7 +1380,8 @@ def _cmd_stream_impl(args: argparse.Namespace, trk=None) -> int:
         jammer = None
     budget = _stream_budget(args)
     watchdog = _stream_watchdog(args)
-    factory = _StreamProtocol(_args_state(args), args.protocol)
+    state = _args_state(args)
+    factory = _StreamProtocol(state, args.protocol)
 
     checkpoint = None
     if args.checkpoint:
@@ -1416,20 +1417,26 @@ def _cmd_stream_impl(args: argparse.Namespace, trk=None) -> int:
             if tracker is not None:
                 tracker.context["rho"] = rho
             if checkpoint is not None:
-                merged = stream_simulate(
-                    process,
-                    factory,
-                    seed=args.seed,
-                    max_jobs=args.max_jobs or None,
-                    max_slots=args.max_slots or None,
-                    budget=budget,
-                    jammer=jammer,
-                    faults=plan,
-                    watchdog=watchdog,
-                    checkpoint=checkpoint,
-                    resume=args.resume,
-                    progress=tracker,
-                )
+                # One in-process run: pass the resolved factory, whose
+                # digest (part of the checkpoint key) covers the protocol
+                # and its parameters but not run knobs such as --resume.
+                try:
+                    merged = stream_simulate(
+                        process,
+                        _protocol_from_state(state, args.protocol, Instance(())),
+                        seed=args.seed,
+                        max_jobs=args.max_jobs or None,
+                        max_slots=args.max_slots or None,
+                        budget=budget,
+                        jammer=jammer,
+                        faults=plan,
+                        watchdog=watchdog,
+                        checkpoint=checkpoint,
+                        resume=args.resume,
+                        progress=tracker,
+                    )
+                except CheckpointError as exc:
+                    raise SystemExit(f"error: {exc}") from None
             else:
                 specs = [
                     StreamShardSpec(

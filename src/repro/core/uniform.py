@@ -69,6 +69,16 @@ class UniformProtocol(Protocol):
             self.gave_up = True
             self.emit("uniform.exhausted", slot, attempts=len(self.chosen))
 
+    def next_wake(self, slot: int) -> int:
+        """Sparse wake-up: the next chosen slot (see :class:`Protocol`).
+
+        Between chosen slots UNIFORM neither sends nor reads feedback;
+        its give-up check also fires only at a chosen slot (the last).
+        """
+        age = slot - self.start_slot
+        later = [a for a in self.chosen if a >= age]
+        return self.start_slot + (min(later) if later else self.ctx.window)
+
 
 def uniform_factory(params: UniformParams = UniformParams()):
     """A :data:`~repro.sim.engine.ProtocolFactory` running UNIFORM."""

@@ -15,6 +15,20 @@ special case (Section 3) is the exception — window alignment implies a
 shared slot index, and aligned protocols may use ``slot`` directly.  Each
 protocol documents which convention it follows.
 
+**Sparse wake-up (optional).**  A protocol may define
+``next_wake(slot) -> int``: the earliest engine slot at or after
+``slot`` at which the job might transmit or must see feedback.  Before
+that slot every ``act`` would return ``None`` and every ``observe``
+would leave the protocol's state unchanged (display-only fields such as
+``last_p`` aside), so an engine may skip both calls for the job until
+then.  The streaming engine calls it once right after ``begin`` and
+again with ``slot + 1`` after each slot the job was stepped in; the
+answer of a protocol that is done is never used.  The method is deliberately *not* defined here: engines look
+it up on the instance (``getattr(proto, "next_wake", None)``), so a
+wrapping proxy forwards it, and protocols without it are stepped every
+slot.  The protocols that draw a fresh coin or read feedback every slot
+do not define it.
+
 Success tracking is redundant on purpose: the engine decides ground-truth
 delivery from channel outcomes, while protocols also track their own
 success (collision detection lets a transmitter see its own result) so

@@ -28,6 +28,11 @@ statement wherever randomness is consumed:
   without growing the factory cache per job;
 * gap jumps skip idle slots without touching the channel stream, and
   the jammer draws once per *simulated* slot in the same patterns;
+* sparse wake-up (see :mod:`repro.sim.protocolbase`) skips ``act`` and
+  ``observe`` for jobs whose protocol says they sleep, and with no
+  jammer jumps over slots in which every live job sleeps — those count
+  as simulated silent slots, exactly what the closed engine records
+  for them;
 * feedback corruption draws from the shared ``fault-feedback`` stream
   in live-list fan-out order, and per-job fault records come from
   :func:`repro.faults.plan.job_fault_record` on the job's own
@@ -51,6 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.cache import stable_digest
 from repro.channel.feedback import Feedback, Observation
 from repro.channel.jamming import Jammer, NoJammer
 from repro.channel.messages import KIND_BEACON, KIND_DATA, Message
@@ -93,7 +99,9 @@ __all__ = [
 #: Version of the streaming engine's observable semantics *and* its
 #: checkpoint state layout.  Bump on any change that can alter a
 #: :class:`StreamResult` or that breaks resuming an older checkpoint.
-STREAM_VERSION = 1
+#: 2: live state carries the sparse wake-up list; the config key
+#: digests the protocol factory.
+STREAM_VERSION = 2
 
 #: Admission-control policies for :class:`StreamBudget`.
 POLICIES = ("shed-newest", "shed-loosest-deadline", "block")
@@ -312,6 +320,7 @@ class StreamResult:
 def _config_key(
     seed: int,
     process: ArrivalProcess,
+    factory: ProtocolFactory,
     budget: Optional[StreamBudget],
     max_jobs: Optional[int],
     max_slots: Optional[int],
@@ -324,6 +333,7 @@ def _config_key(
         ENGINE_VERSION,
         int(seed),
         process,
+        stable_digest(factory),
         budget,
         max_jobs,
         max_slots,
@@ -387,9 +397,11 @@ def stream_simulate(
         Telemetry memory/accuracy knobs (see :mod:`repro.obs.sketches`).
     progress:
         Optional ``progress(done, total)`` callback invoked on the
-        engine's existing 256-slot housekeeping cadence (and once at
-        the end): finalized jobs against ``max_jobs`` when set,
-        simulated slots against ``max_slots`` otherwise.  Purely
+        engine's existing 256-slot housekeeping cadence (once per
+        sparse jump that crosses a mark, and once at the end):
+        finalized jobs (succeeded, missed, gave up or shed) against
+        ``max_jobs`` when set, simulated slots against ``max_slots``
+        otherwise.  Purely
         observational — it sees counters, never simulation state — so
         attaching it cannot change results.
 
@@ -418,8 +430,12 @@ def stream_simulate(
                 "jammer; pick one adversary"
             )
         jammer = plan.jammer
-    cfg_key = _config_key(
-        seed, process, budget, max_jobs, max_slots, faults, jammer
+    cfg_key = (
+        _config_key(
+            seed, process, factory, budget, max_jobs, max_slots, faults, jammer
+        )
+        if checkpoint is not None
+        else None
     )
 
     pol = budget.policy if budget is not None else None
@@ -446,7 +462,15 @@ def stream_simulate(
         releasing: bool = state["releasing"]
         pending: list = state["pending"]
         blocked: deque = deque(state["blocked"])
-        (live_ids, live_jobs, live_protos, live_act, live_observe, live_deadline) = state["live"]
+        (
+            live_ids,
+            live_jobs,
+            live_protos,
+            live_act,
+            live_observe,
+            live_deadline,
+            live_wake,
+        ) = state["live"]
         delivered: Dict[int, int] = state["delivered"]
         res: StreamResult = state["result"]
         wd_progress_mark: int = state["wd_progress_mark"]
@@ -479,6 +503,7 @@ def stream_simulate(
         live_act = []
         live_observe = []
         live_deadline = []
+        live_wake = []
         delivered = {}
         res = StreamResult(
             seed=seed,
@@ -494,6 +519,13 @@ def stream_simulate(
     no_jam = type(jam) is NoJammer
     have_job_faults = jf is not None or cf is not None
     outcomes = res.outcomes
+    # Sparse wake-up needs every skipped call to be a no-op.  Feedback
+    # faults draw f_rng once per listener per slot, and per-job fault
+    # wrappers keep their own clocks, so either keeps every job awake.
+    # ``live_wake[i]`` is the engine slot job i next needs stepping, or
+    # -1 for a job stepped every slot; ``n_sparse`` counts the former.
+    sparse_ok = corrupt is None and not have_job_faults
+    n_sparse = len(live_wake) - live_wake.count(-1)
 
     wd = watchdog if watchdog is not None and watchdog.enabled else None
     wd_trip: Optional[WatchdogTrip] = None
@@ -513,6 +545,18 @@ def stream_simulate(
 
     sketch = res.latency_sketch
     sample = res.latency_sample
+
+    def report_progress() -> None:
+        if max_jobs is not None:
+            progress(
+                res.jobs_succeeded
+                + res.jobs_missed
+                + res.jobs_gave_up
+                + res.jobs_shed,
+                max_jobs,
+            )
+        else:
+            progress(slots_simulated, max_slots)
 
     def finalize(job: Job, proto: Protocol) -> None:
         comp = delivered.pop(job.job_id, -1)
@@ -540,6 +584,7 @@ def stream_simulate(
         res.shed[reason] = res.shed.get(reason, 0) + 1
 
     def admit(job: Job, rec: Optional[_JobRecord], at: int) -> None:
+        nonlocal n_sparse
         planned = rec.activation if rec is not None else job.release
         if at > planned:
             # Blocked admission: the protocol's local clock starts at
@@ -561,6 +606,12 @@ def stream_simulate(
         live_act.append(act_fn)
         live_observe.append(observe_fn)
         live_deadline.append(job.deadline)
+        next_wake = getattr(proto, "next_wake", None) if sparse_ok else None
+        if next_wake is None:
+            live_wake.append(-1)
+        else:
+            live_wake.append(next_wake(at))
+            n_sparse += 1
         res.jobs_admitted += 1
         if len(live_ids) > res.peak_live:
             res.peak_live = len(live_ids)
@@ -595,6 +646,7 @@ def stream_simulate(
                         live_act,
                         live_observe,
                         live_deadline,
+                        live_wake,
                     ),
                     "delivered": delivered,
                     "result": res,
@@ -676,6 +728,8 @@ def stream_simulate(
                     del live_act[best]
                     del live_observe[best]
                     del live_deadline[best]
+                    if live_wake.pop(best) >= 0:
+                        n_sparse -= 1
                     admit(job, rec, t)
                 else:
                     shed("arrival")
@@ -716,11 +770,45 @@ def stream_simulate(
             continue
 
         n_live = len(live_protos)
+        awake = (
+            [i for i in range(n_live) if live_wake[i] <= t] if n_sparse else None
+        )
+        idx = range(n_live) if awake is None else awake
+
+        step = 1
+        if awake is not None and not awake and no_jam:
+            # 2'. every live job sleeps and nothing draws per slot: jump
+            # to the next event.  Slot t is simulated below as a silent
+            # slot with no one stepped; the other skipped slots are
+            # counted here.  Stopping at each deadline, arrival,
+            # activation, checkpoint mark and watchdog trip point keeps
+            # retirement, admission, checkpoints and trips on the slots
+            # where dense stepping has them.
+            nxt = min(min(live_wake), min(live_deadline))
+            if pending:
+                nxt = min(nxt, pending[0][0])
+            if ckpt is not None:
+                nxt = min(nxt, t + next_mark - slots_simulated)
+            if wd is not None:
+                if wd_slot_limit is not None:
+                    nxt = min(nxt, t + wd_slot_limit - slots_simulated)
+                if wd_stall_limit is not None:
+                    stall_at = wd_progress_mark + wd_stall_limit
+                    nxt = min(nxt, t + max(1, stall_at - slots_simulated))
+            if releasing:
+                if max_slots is not None:
+                    nxt = min(nxt, max_slots)
+                arr = bound.next_arrival_at(t + 1, nxt)
+                if arr is not None:
+                    nxt = arr
+            step = nxt - t
+            slots_simulated += step - 1
+            res.silence_slots += step - 1
 
         # 2. collect actions.
         transmissions: List[Tuple[int, Message]] = []
         tx_idx: List[int] = []
-        for i in range(n_live):
+        for i in idx:
             msg = live_act[i](t)
             if msg is not None:
                 transmissions.append((live_ids[i], msg))
@@ -739,11 +827,11 @@ def stream_simulate(
             else:
                 res.silence_slots += 1
             if corrupt is None:
-                for observe in live_observe:
-                    observe(t, obs)
+                for i in idx:
+                    live_observe[i](t, obs)
             else:
-                for observe in live_observe:
-                    observe(t, corrupt.corrupt(obs, f_rng))
+                for i in idx:
+                    live_observe[i](t, corrupt.corrupt(obs, f_rng))
         elif n_tx == 1:
             jid0, msg0 = transmissions[0]
             i0 = tx_idx[0]
@@ -751,12 +839,12 @@ def stream_simulate(
             if jammed:
                 res.jammed_slots += 1
                 if corrupt is None:
-                    for i in range(n_live):
+                    for i in idx:
                         live_observe[i](
                             t, _OBS_NOISE_TX if i == i0 else _OBS_NOISE
                         )
                 else:
-                    for i in range(n_live):
+                    for i in idx:
                         live_observe[i](
                             t,
                             corrupt.corrupt(
@@ -776,10 +864,10 @@ def stream_simulate(
                 obs_listen = Observation(_SUCCESS, msg0, False, False)
                 obs_tx = Observation(_SUCCESS, msg0, True, msg0.sender == jid0)
                 if corrupt is None:
-                    for i in range(n_live):
+                    for i in idx:
                         live_observe[i](t, obs_tx if i == i0 else obs_listen)
                 else:
-                    for i in range(n_live):
+                    for i in idx:
                         live_observe[i](
                             t,
                             corrupt.corrupt(
@@ -793,22 +881,27 @@ def stream_simulate(
                 res.jammed_slots += 1
             k = 0
             if corrupt is None:
-                for i in range(n_live):
+                for i in idx:
                     if k < n_tx and tx_idx[k] == i:
                         live_observe[i](t, _OBS_NOISE_TX)
                         k += 1
                     else:
                         live_observe[i](t, _OBS_NOISE)
             else:
-                for i in range(n_live):
+                for i in idx:
                     if k < n_tx and tx_idx[k] == i:
                         live_observe[i](t, corrupt.corrupt(_OBS_NOISE_TX, f_rng))
                         k += 1
                     else:
                         live_observe[i](t, corrupt.corrupt(_OBS_NOISE, f_rng))
 
+        if awake:
+            for i in awake:
+                if live_wake[i] >= 0:
+                    live_wake[i] = live_protos[i].next_wake(t + 1)
+
         # 5. retire — compaction preserves order, as in the closed engine.
-        t += 1
+        t += step
         any_dead = False
         for i in range(n_live):
             p = live_protos[i]
@@ -822,6 +915,7 @@ def stream_simulate(
             keep_act: List[Callable[[int], Optional[Message]]] = []
             keep_observe: List[Callable[[int, Observation], None]] = []
             keep_deadline: List[int] = []
+            keep_wake: List[int] = []
             for i in range(n_live):
                 p = live_protos[i]
                 if p.succeeded or p.gave_up or t >= live_deadline[i]:
@@ -833,23 +927,24 @@ def stream_simulate(
                     keep_act.append(live_act[i])
                     keep_observe.append(live_observe[i])
                     keep_deadline.append(live_deadline[i])
+                    keep_wake.append(live_wake[i])
             live_ids = keep_ids
             live_jobs = keep_jobs
             live_protos = keep_protos
             live_act = keep_act
             live_observe = keep_observe
             live_deadline = keep_deadline
+            live_wake = keep_wake
+            if n_sparse:
+                n_sparse = len(live_wake) - live_wake.count(-1)
 
-        if not (t & 0xFF):
+        # Housekeeping on the 256-slot cadence; a jump also releases
+        # arrival history and reports progress if it crossed a mark.
+        crossed = (t >> 8) != ((t - step) >> 8)
+        if crossed or step > 1:
             bound.release_before(t)
-            if progress is not None:
-                if max_jobs is not None:
-                    progress(
-                        res.jobs_succeeded + res.jobs_missed + res.jobs_shed,
-                        max_jobs,
-                    )
-                else:
-                    progress(slots_simulated, max_slots)
+            if crossed and progress is not None:
+                report_progress()
 
         if wd is not None:
             if delivered_now >= 0:
@@ -875,7 +970,7 @@ def stream_simulate(
                 )
             elif (
                 wd_deadline is not None
-                and slots_simulated % WALL_CHECK_PERIOD == 0
+                and (step > 1 or slots_simulated % WALL_CHECK_PERIOD == 0)
                 and time.perf_counter() > wd_deadline
             ):
                 wd_trip = WatchdogTrip(
@@ -908,11 +1003,5 @@ def stream_simulate(
     res.slots_simulated = slots_simulated
     res.final_slot = t
     if progress is not None:
-        if max_jobs is not None:
-            progress(
-                res.jobs_succeeded + res.jobs_missed + res.jobs_shed,
-                max_jobs,
-            )
-        else:
-            progress(slots_simulated, max_slots)
+        report_progress()
     return res

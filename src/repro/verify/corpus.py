@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.baselines.beb import beb_factory
 from repro.baselines.nocd import nocd_factory
 from repro.baselines.sawtooth import sawtooth_factory
 from repro.baselines.slowfeedback import slowfeedback_factory
@@ -181,6 +182,10 @@ def _slowfb() -> ProtocolFactory:
 
 def _nocd() -> ProtocolFactory:
     return nocd_factory()
+
+
+def _beb() -> ProtocolFactory:
+    return beb_factory()
 
 
 def _no_process() -> Optional[ArrivalProcess]:
@@ -419,6 +424,28 @@ _CASES = (
         build=_stream_poisson_build,
         protocol=_uniform,
         seeds=(0, 1, 2),
+        kind="streaming-equivalence",
+        make_process=_stream_poisson_process,
+        horizon=_STREAM_POISSON_HORIZON,
+    ),
+    # Sparse wake-up: the streaming engine skips sleeping beb/UNIFORM
+    # jobs (and, unjammed, whole slots); under _jam10 it still draws
+    # the jammer every slot while every job sleeps.
+    VerifyCase(
+        name="stream-poisson-beb",
+        build=_stream_poisson_build,
+        protocol=_beb,
+        seeds=(0, 1),
+        kind="streaming-equivalence",
+        make_process=_stream_poisson_process,
+        horizon=_STREAM_POISSON_HORIZON,
+    ),
+    VerifyCase(
+        name="stream-poisson-uniform-jammed",
+        build=_stream_poisson_build,
+        protocol=_uniform,
+        make_jammer=_jam10,
+        seeds=(0, 1),
         kind="streaming-equivalence",
         make_process=_stream_poisson_process,
         horizon=_STREAM_POISSON_HORIZON,

@@ -104,7 +104,7 @@ class TestSlowFeedback:
         for slot in range(2 + 4 + 8):
             p.act(slot)
             p.observe(slot, silence())
-            if p.epoch_pos == 0:
+            if p.epoch_start == slot + 1:
                 lengths.append(p.epoch_len)
         assert lengths[:4] == [2, 4, 8, 16]
 

@@ -6,6 +6,8 @@ import pickle
 import pytest
 
 from repro.baselines.sawtooth import sawtooth_factory
+from repro.baselines.softened import softened_factory
+from repro.core.uniform import uniform_factory
 from repro.errors import InvalidParameterError
 from repro.stream.arrivals import PoissonProcess
 from repro.stream.checkpoint import (
@@ -14,6 +16,7 @@ from repro.stream.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+import repro.stream.engine as engine
 from repro.stream.engine import stream_simulate
 
 PROCESS = PoissonProcess(rate=0.25, window_sizes=(16, 64))
@@ -145,6 +148,30 @@ class TestResume:
                 checkpoint=CheckpointConfig(path, every_slots=1000),
                 resume=True,
             )
+
+    def test_resume_rejects_protocol_drift(self, tmp_path):
+        # the checkpoint key digests the protocol factory: a UNIFORM
+        # checkpoint must not resume under another protocol
+        path = str(tmp_path / "ck.bin")
+        kwargs = dict(
+            seed=3,
+            max_jobs=600,
+            checkpoint=CheckpointConfig(path, every_slots=1000),
+        )
+        stream_simulate(PROCESS, uniform_factory(), **kwargs)
+        with pytest.raises(CheckpointError):
+            stream_simulate(PROCESS, softened_factory(), resume=True, **kwargs)
+        # an equal factory built afresh digests the same and resumes
+        resumed = stream_simulate(PROCESS, uniform_factory(), resume=True, **kwargs)
+        assert resumed.resumed_at_slot >= 0
+
+    def test_resume_rejects_older_stream_version(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ck.bin")
+        monkeypatch.setattr(engine, "STREAM_VERSION", 1)
+        self._run(path)
+        monkeypatch.undo()
+        with pytest.raises(CheckpointError):
+            self._run(path, resume=True)
 
     def test_checkpoint_state_pickles_standalone(self, tmp_path):
         # the payload must be loadable by a plain pickle reader too

@@ -11,7 +11,10 @@ import tracemalloc
 
 import pytest
 
+from repro.baselines.beb import beb_factory
 from repro.baselines.sawtooth import sawtooth_factory
+from repro.baselines.slowfeedback import slowfeedback_factory
+from repro.baselines.windowed import fixed_window_factory
 from repro.channel.jamming import StochasticJammer
 from repro.core.uniform import uniform_factory
 from repro.errors import InvalidParameterError
@@ -76,6 +79,17 @@ class TestClosedEquivalence:
 
     def test_uniform_protocol(self):
         _assert_equivalent(POISSON, uniform_factory, 4, 1500)
+
+    @pytest.mark.parametrize(
+        "make", [beb_factory, slowfeedback_factory, fixed_window_factory]
+    )
+    @pytest.mark.parametrize("jam", [0.0, 0.2])
+    def test_sparse_protocols(self, make, jam):
+        # these sleep between pre-drawn sends; the engine skips them
+        _assert_equivalent(
+            POISSON, make, 6, 1500,
+            make_jammer=lambda: StochasticJammer(jam) if jam else None,
+        )
 
     def test_diurnal_jammed(self):
         _assert_equivalent(
@@ -218,6 +232,33 @@ class TestWatchdog:
             + res.jobs_shed
             == res.jobs_released
         )
+
+
+    def test_wall_clock_trip_during_sparse_jumps(self):
+        # sparse UNIFORM jumps over most slots; the wall clock is still
+        # checked on every jump
+        res = stream_simulate(
+            PoissonProcess(rate=0.01, window_sizes=(4096,)),
+            uniform_factory(), seed=0, max_jobs=1_000_000,
+            watchdog=Watchdog(max_seconds=0.05),
+        )
+        assert res.watchdog is not None
+        assert res.watchdog.reason == "wall_clock"
+
+
+class TestProgress:
+    def test_final_call_counts_every_outcome(self):
+        # UNIFORM gives up after its last chosen slot; gave-up jobs are
+        # finalized too, so progress must reach max_jobs
+        calls = []
+        res = stream_simulate(
+            PoissonProcess(rate=0.05, window_sizes=(256, 1024)),
+            uniform_factory(), seed=0, max_jobs=1000,
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        assert res.jobs_gave_up > 0
+        assert calls[-1] == (1000, 1000)
+        assert all(a <= b for (a, _), (b, _) in zip(calls, calls[1:]))
 
 
 class TestValidation:

@@ -524,6 +524,41 @@ class TestStream:
         # the resumed run reproduces the uninterrupted statistics
         assert first.splitlines()[-1] == second.splitlines()[-1]
 
+    def test_uniform_checkpoint_resume_cycle(self, capsys, tmp_path):
+        ck = str(tmp_path / "ck.bin")
+        base = [
+            "stream",
+            "--rho", "0.05",
+            "--windows", "256,1024",
+            "--protocol", "uniform",
+            "--max-jobs", "1000",
+            "--checkpoint", ck,
+            "--checkpoint-every", "5000",
+        ]
+        assert main(base) == 0
+        first = capsys.readouterr().out
+        assert main(base + ["--resume"]) == 0
+        second = capsys.readouterr().out
+        assert "resumed at slot" in second
+        assert first.splitlines()[-1] == second.splitlines()[-1]
+
+    def test_resume_rejects_changed_protocol(self, capsys, tmp_path):
+        ck = str(tmp_path / "ck.bin")
+        base = [
+            "stream",
+            "--rho", "0.05",
+            "--windows", "256,1024",
+            "--max-jobs", "1000",
+            "--checkpoint", ck,
+            "--checkpoint-every", "5000",
+        ]
+        assert main(base + ["--protocol", "uniform"]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--protocol", "soft", "--resume"])
+        assert exc.value.code not in (0, None)
+        assert "different run configuration" in str(exc.value.code)
+
     def test_checkpoint_rejects_multi_rho(self):
         with pytest.raises(SystemExit):
             main(
