@@ -1465,6 +1465,7 @@ def _cmd_stream_impl(args: argparse.Namespace, trk=None) -> int:
                     "jobs_released",
                     "jobs_succeeded",
                     "jobs_missed",
+                    "jobs_gave_up",
                     "jobs_shed",
                 ):
                     trk.counters[key] = (
@@ -1479,6 +1480,7 @@ def _cmd_stream_impl(args: argparse.Namespace, trk=None) -> int:
                 f"rho={rho:g}: released={merged.jobs_released} "
                 f"succeeded={merged.jobs_succeeded} "
                 f"missed={merged.jobs_missed} "
+                f"gave_up={merged.jobs_gave_up} "
                 f"shed={merged.jobs_shed} peak_live={merged.peak_live}"
             )
             if merged.watchdog is not None:

@@ -1,41 +1,12 @@
-"""The slot-by-slot simulation engine.
+"""The closed-instance simulation engine.
 
-Drives an :class:`~repro.sim.instance.Instance` of jobs, each running its
-own :class:`~repro.sim.protocolbase.Protocol`, over a shared
-multiple-access channel:
-
-1. activate jobs whose release slot arrived;
-2. collect each live protocol's action (transmit / listen);
-3. resolve the slot (jammer included);
-4. deliver the resulting observation to every live protocol;
-5. retire jobs that succeeded, gave up, or hit their deadline.
-
-Ground-truth delivery is decided by the engine from channel outcomes — a
-job succeeded iff a :class:`DataMessage` with its id was delivered (either
-directly or piggybacked on a leader's timekeeper beacon), strictly inside
-its window.  Protocol self-reported success is cross-checked against this
-and any disagreement raises :class:`SimulationError`, catching a whole
-class of protocol bugs in every test that runs a simulation.
-
-Hot-path layout
----------------
-The inner loop is pure Python and bounds every Monte-Carlo experiment in
-the suite, so it is written for throughput:
-
-* live jobs are kept in flat parallel lists (ids, jobs, protocols,
-  pre-bound ``act``/``observe`` methods, deadlines) instead of a dict,
-  compacted only on retirement;
-* slot resolution is inlined (semantically identical to
-  :func:`repro.channel.channel.resolve_slot`), and the jammer callout is
-  skipped entirely for the benign :class:`NoJammer`;
-* observations are shared frozen singletons where their content is
-  identical for every listener (silence / noise), so silent slots cost
-  one bound-method call per live job and nothing else;
-* contention tracking (the per-slot ``last_p`` sum) runs only when a
-  trace is recorded, with a one-time per-protocol capability check
-  instead of a per-slot ``getattr`` probe;
-* message delivery dispatches on the :attr:`Message.kind` tag rather
-  than ``isinstance`` chains.
+:func:`simulate` drives an :class:`~repro.sim.instance.Instance` of jobs,
+each running its own :class:`~repro.sim.protocolbase.Protocol`, over a
+shared multiple-access channel.  It is a front end of the slot-stepping
+core :class:`~repro.sim.slotloop.SlotLoop`, which it shares with the
+streaming engine: it pushes the instance's jobs into the core's pending
+heap, stops at the first idle gap past ``horizon``, attaches its
+per-slot instrumentation and builds the :class:`SimulationResult`.
 
 Fault and telemetry hooks
 -------------------------
@@ -45,15 +16,13 @@ perturb feedback, clocks, and job lifecycles, an
 every slot, a :class:`~repro.obs.telemetry.Telemetry` object
 (``telemetry=``) collects metrics, lifecycle events, and spans, and a
 :class:`~repro.sim.watchdog.Watchdog` (``watchdog=``) cancels runaway
-adversarial runs gracefully with a partial result.  All
-four are strictly pay-for-what-you-use: with none attached the hot
-loop executes the exact same statements as before (the hook branches
-collapse to a handful of ``is None`` guards outside the per-listener
-fan-out), so results stay bit-identical to :data:`ENGINE_VERSION` 2 and
-throughput is preserved.  Telemetry draws no randomness and never
-alters results — it only observes — so it is *not* folded into cache
-keys.  Fault randomness draws from dedicated RNG streams, never from
-the channel or job streams.
+adversarial runs gracefully with a partial result.  All four are
+strictly pay-for-what-you-use: with none attached the core runs its
+plain loop, and with sparse-capable protocols it steps sparsely.  The
+per-slot instrumentation (trace, observers, invariants, telemetry)
+keeps stepping dense, draws no randomness and never alters results, so
+it is *not* folded into cache keys.  Fault randomness draws from
+dedicated RNG streams, never from the channel or job streams.
 
 Any change that alters simulation *semantics* (outcomes, slot counts,
 randomness consumption) must bump :data:`ENGINE_VERSION`, which the
@@ -64,36 +33,19 @@ attaching a plan never needs a version bump.
 
 from __future__ import annotations
 
-import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
-from repro.channel.channel import MultipleAccessChannel, SlotOutcome
-from repro.channel.feedback import Feedback, Observation
+from repro.channel.channel import SlotOutcome
+from repro.channel.feedback import Feedback
 from repro.channel.jamming import Jammer, NoJammer
-from repro.channel.messages import (
-    KIND_BEACON,
-    KIND_DATA,
-    DataMessage,
-    Message,
-    TimekeeperBeacon,
-)
-from repro.errors import InvalidParameterError, SimulationError
+from repro.channel.messages import Message
 from repro.sim.instance import Instance
 from repro.sim.job import Job, JobStatus
 from repro.sim.metrics import JobOutcome, SimulationResult
-from repro.sim.protocolbase import Protocol, ProtocolContext
-from repro.sim.rng import RngFactory
+from repro.sim.protocolbase import Protocol
+from repro.sim.slotloop import ProtocolFactory, SlotLoop
 from repro.sim.trace import TraceRecorder
-from repro.sim.watchdog import (
-    REASON_SLOTS,
-    REASON_STALL,
-    REASON_WALL,
-    WALL_CHECK_PERIOD,
-    Watchdog,
-    WatchdogTrip,
-)
+from repro.sim.watchdog import Watchdog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults.plan import FaultPlan
@@ -111,43 +63,136 @@ __all__ = ["ENGINE_VERSION", "ProtocolFactory", "SlotObserver", "simulate"]
 #: every random stream, and therefore every sampled outcome, changed.
 ENGINE_VERSION = 3
 
-#: Builds the protocol for one job, given the job and its private stream.
-ProtocolFactory = Callable[[Job, np.random.Generator], Protocol]
-
 #: Optional per-slot callback ``(outcome, live_job_ids)`` for instrumentation.
 SlotObserver = Callable[[SlotOutcome, Tuple[int, ...]], None]
-
-# Shared immutable observations; their content is independent of the
-# perceiving job, so one object per (feedback, transmitted) pair serves
-# every listener of every slot.
-_OBS_SILENCE = Observation.silence(False)
-_OBS_SILENCE_TX = Observation.silence(True)
-_OBS_NOISE = Observation.noise(False)
-_OBS_NOISE_TX = Observation.noise(True)
 
 _SILENCE = Feedback.SILENCE
 _SUCCESS = Feedback.SUCCESS
 _NOISE = Feedback.NOISE
 
 
-def _delivered_ids(outcome: SlotOutcome) -> Tuple[int, ...]:
-    """Job ids whose data message was delivered in this slot.
+class _ClosedLoop(SlotLoop):
+    """:func:`simulate`'s front end: a fixed instance, cut at ``end``."""
 
-    A delivery is either a bare :class:`DataMessage` or one piggybacked as
-    the ``payload`` of a :class:`TimekeeperBeacon` (PUNCTUAL leaders hand
-    over / abdicate with their data attached).
-    """
-    msg = outcome.message
-    if msg is None:
-        return ()
-    kind = msg.kind
-    if kind == KIND_BEACON:
-        if msg.payload is not None:
-            return (msg.payload.sender,)
-        return ()
-    if kind == KIND_DATA:
-        return (msg.sender,)
-    return ()
+    def __init__(
+        self,
+        instance: Instance,
+        factory: ProtocolFactory,
+        seed: int,
+        jammer: Optional[Jammer],
+        faults: Optional["FaultPlan"],
+        end: int,
+        recorder: Optional[TraceRecorder],
+        observers: Sequence[SlotObserver],
+        checker: Optional["InvariantChecker"],
+        telemetry: Optional["Telemetry"],
+    ) -> None:
+        super().__init__(
+            factory,
+            seed,
+            jammer,
+            faults,
+            instrumented=bool(
+                recorder is not None
+                or observers
+                or checker is not None
+                or telemetry is not None
+            ),
+        )
+        self.end = end
+        self.recorder = recorder
+        self.observers = observers
+        self.checker = checker
+        self.events = telemetry.events if telemetry is not None else None
+        self.tele_slot = telemetry.record_slot if telemetry is not None else None
+        self.outcomes: Dict[int, JobOutcome] = {}
+        for job in instance.by_release:
+            self.push(job)
+
+    def before_slot(self, t: int) -> bool:
+        return t < self.end or bool(self.protos)
+
+    def on_start(self, job: Job, proto: Protocol, t: int) -> None:
+        events = self.events
+        if events is not None:
+            # Bind before begin(): protocols that construct inner
+            # machines in on_begin propagate the sink to them.
+            bind = getattr(proto, "bind_telemetry", None)
+            if bind is not None:
+                bind(events)
+            events.emit("job.activated", t, job.job_id, window=job.window)
+        if self.checker is not None:
+            self.checker.on_activate(job, proto, t)
+
+    def on_slot(
+        self,
+        t: int,
+        n_tx: int,
+        jammed: bool,
+        msg: Optional[Message],
+        delivered_now: int,
+        tx_idx: list,
+    ) -> None:
+        protos = self.protos
+        if self.checker is not None:
+            self.checker.after_slot(t, delivered_now, self.ids, protos, tx_idx)
+        recorder = self.recorder
+        if recorder is None and self.tele_slot is None and not self.observers:
+            return
+        # Contention: the per-slot ``last_p`` sum of the protocols that
+        # expose one (protocols set it in act()).
+        contention = 0.0
+        have_contention = False
+        for proto in protos:
+            p = getattr(proto, "last_p", None)
+            if p is not None:
+                contention += float(p)
+                have_contention = True
+        if not have_contention:
+            contention = float("nan")
+        if self.tele_slot is not None:
+            self.tele_slot(n_tx, jammed, len(protos), contention)
+        if recorder is None and not self.observers:
+            return
+        if msg is not None:
+            fb = _SUCCESS
+        elif jammed or n_tx:
+            fb = _NOISE
+        else:
+            fb = _SILENCE
+        outcome = SlotOutcome(t, fb, msg, n_tx, jammed)
+        if recorder is not None:
+            recorder.record(outcome, n_live=len(protos), contention=contention)
+        if self.observers:
+            ids = tuple(self.ids)
+            for cb in self.observers:
+                cb(outcome, ids)
+
+    def record(
+        self,
+        job: Job,
+        proto: Protocol,
+        status: JobStatus,
+        completion: int,
+        jammed: int,
+    ) -> None:
+        events = self.events
+        if events is not None:
+            if status is JobStatus.SUCCEEDED:
+                events.emit(
+                    "job.success",
+                    completion,
+                    job.job_id,
+                    latency=completion - job.release + 1,
+                    transmissions=proto.transmissions,
+                )
+            elif status is JobStatus.GAVE_UP:
+                events.emit("job.gave_up", -1, job.job_id)
+            else:
+                events.emit("job.deadline_miss", job.deadline, job.job_id)
+        self.outcomes[job.job_id] = JobOutcome(
+            job, status, completion, proto.transmissions, jammed
+        )
 
 
 def simulate(
@@ -183,8 +228,13 @@ def simulate(
     observers:
         Extra per-slot callbacks (e.g. schedule reconstruction).
     horizon:
-        Last slot (exclusive) to simulate; defaults to the instance
-        horizon.  Jobs are hard-stopped at their own deadlines regardless.
+        Stop at the first idle gap at or after this slot; defaults to
+        (and is capped at) the instance horizon.  Jobs whose activation
+        slot is at or after ``horizon`` are not started while nobody is
+        live, and count as failed with zero attempts.  A job live at
+        ``horizon`` runs on to its own deadline, and later jobs keep
+        activating while anyone is live.  Jobs are hard-stopped at their
+        own deadlines regardless.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan`.  A plan may carry
         its own jammer, mutually exclusive with ``jammer=``.  A no-op
@@ -214,27 +264,6 @@ def simulate(
     -------
     SimulationResult
     """
-    rngs = RngFactory(seed)
-    ch_rng = rngs.channel_rng()
-
-    bound = None
-    if faults is not None and not faults.is_noop:
-        bound = faults.bind(instance, rngs)
-        if bound.jammer is not None:
-            if jammer is not None:
-                raise InvalidParameterError(
-                    "got a jammer= argument and a FaultPlan with its own "
-                    "jammer; pick one adversary"
-                )
-            jammer = bound.jammer
-
-    jam: Jammer = jammer if jammer is not None else NoJammer()
-    no_jam = type(jam) is NoJammer
-    if not no_jam:
-        jam.reset()  # budgeted jammers: restore per-run counters
-    corrupt = bound.feedback if bound is not None else None
-    f_rng = bound.feedback_rng if corrupt is not None else None
-
     checker: Optional["InvariantChecker"]
     if invariants is True:
         from repro.sim.invariants import InvariantChecker
@@ -244,403 +273,59 @@ def simulate(
         checker = invariants  # type: ignore[assignment]
     else:
         checker = None
+    recorder = TraceRecorder() if trace else None
+    end = instance.horizon if horizon is None else min(horizon, instance.horizon)
+    loop = _ClosedLoop(
+        instance,
+        factory,
+        seed,
+        jammer,
+        faults,
+        end,
+        recorder,
+        observers,
+        checker,
+        telemetry,
+    )
+    corrupt = loop.corrupt
     if checker is not None and corrupt is not None:
         if corrupt.p_success_erasure > 0.0 and corrupt.affect_transmitters:
             # an erased transmitter legitimately re-sends; only the
             # duplicate-delivery check is relaxed.
             checker.allow_redelivery = True
-
-    recorder = TraceRecorder() if trace else None
-    # SlotOutcome objects are only materialised for instrumentation.
-    need_outcome = recorder is not None or bool(observers)
-
-    jobs_sorted = list(instance.by_release)
-    if bound is not None and bound.has_job_faults:
-        # late releases reorder activation; keep ties in by_release order
-        order = sorted(
-            range(len(jobs_sorted)),
-            key=lambda i: (bound.release_of(jobs_sorted[i]), i),
-        )
-        jobs_sorted = [jobs_sorted[i] for i in order]
-        releases = [bound.release_of(j) for j in jobs_sorted]
-    else:
-        releases = [j.release for j in jobs_sorted]
-    n_total = len(jobs_sorted)
-    end = instance.horizon if horizon is None else min(horizon, instance.horizon)
-
-    # Telemetry is observational only: it consumes no randomness and
-    # takes no branch a protocol can see, so attaching it keeps results
-    # bit-identical.  With telemetry off, the per-slot cost is a single
-    # ``is None`` check (tele_slot), matching the recorder discipline.
-    tele = telemetry
-    if tele is not None:
-        tele.on_run_start(
+    if telemetry is not None:
+        telemetry.on_run_start(
             seed=seed,
-            n_jobs=n_total,
+            n_jobs=len(instance),
             horizon=end,
-            jammer=None if no_jam else jam,
-            faults=faults if bound is not None else None,
-        )
-        tele_slot = tele.record_slot
-        tele_events = tele.events
-    else:
-        tele_slot = None
-        tele_events = None
-    track_contention = recorder is not None or tele_slot is not None
-
-    # Flat parallel views of the live set (same index across all lists).
-    live_ids: List[int] = []
-    live_jobs: List[Job] = []
-    live_protos: List[Protocol] = []
-    live_act: List[Callable[[int], Optional[Message]]] = []
-    live_observe: List[Callable[[int, Observation], None]] = []
-    live_deadline: List[int] = []
-    live_has_p: List[bool] = []
-    live_jammed: List[int] = []  # per-job attempts spent into jammed slots
-
-    outcomes: Dict[int, JobOutcome] = {}
-    delivered_slot: Dict[int, int] = {}
-
-    next_job = 0
-    t = releases[0] if jobs_sorted else 0
-    slots_simulated = 0
-    channel_attempts = 0  # total send attempts the channel saw
-
-    # Watchdog limits (see sim/watchdog.py).  All state lives in locals;
-    # with no watchdog the per-slot cost is a single ``is None`` guard.
-    wd = watchdog if watchdog is not None and watchdog.enabled else None
-    wd_trip: Optional[WatchdogTrip] = None
-    if wd is not None:
-        wd_slot_limit = wd.max_slots
-        wd_deadline = (
-            time.perf_counter() + wd.max_seconds
-            if wd.max_seconds is not None
-            else None
-        )
-        wd_stall_limit = wd.stall_slots(
-            max((j.window for j in jobs_sorted), default=1)
-        )
-        wd_progress_mark = 0  # slots_simulated at the last progress sign
-
-    def finalize(job: Job, proto: Protocol, jammed_tx: int = 0) -> None:
-        if job.job_id in delivered_slot:
-            status = JobStatus.SUCCEEDED
-            comp = delivered_slot[job.job_id]
-        elif proto.gave_up:
-            status = JobStatus.GAVE_UP
-            comp = -1
-        else:
-            status = JobStatus.FAILED
-            comp = -1
-        if proto.succeeded and status is not JobStatus.SUCCEEDED:
-            raise SimulationError(
-                f"job {job.job_id} claims success but no delivery was observed"
-            )
-        if tele_events is not None:
-            if status is JobStatus.SUCCEEDED:
-                tele_events.emit(
-                    "job.success",
-                    comp,
-                    job.job_id,
-                    latency=comp - job.release + 1,
-                    transmissions=proto.transmissions,
-                )
-            elif status is JobStatus.GAVE_UP:
-                tele_events.emit("job.gave_up", -1, job.job_id)
-            else:
-                tele_events.emit("job.deadline_miss", job.deadline, job.job_id)
-        outcomes[job.job_id] = JobOutcome(
-            job, status, comp, proto.transmissions, jammed_tx
+            jammer=None if type(loop.jam) is NoJammer else loop.jam,
+            faults=loop.plan,
         )
 
-    while t < end or live_protos:
-        if t >= end and not live_protos:
-            break
-        # 1. activate
-        if wd is not None and next_job < n_total and releases[next_job] == t:
-            wd_progress_mark = slots_simulated  # activation counts as progress
-        while next_job < n_total and releases[next_job] == t:
-            job = jobs_sorted[next_job]
-            proto = factory(job, rngs.job_rng(job.job_id))
-            if tele_events is not None:
-                # Bind before begin(): protocols that construct inner
-                # machines in on_begin propagate the sink to them.
-                bind = getattr(proto, "bind_telemetry", None)
-                if bind is not None:
-                    bind(tele_events)
-                tele_events.emit(
-                    "job.activated", t, job.job_id, window=job.window
-                )
-            if bound is None:
-                proto.begin(t)
-                act_fn = proto.act
-                observe_fn = proto.observe
-            else:
-                act_fn, observe_fn = bound.activate(job, proto, t)
-            if checker is not None:
-                checker.on_activate(job, proto, t)
-            live_ids.append(job.job_id)
-            live_jobs.append(job)
-            live_protos.append(proto)
-            live_act.append(act_fn)
-            live_observe.append(observe_fn)
-            live_deadline.append(job.deadline)
-            live_has_p.append(hasattr(proto, "last_p"))
-            live_jammed.append(0)
-            next_job += 1
-        if next_job < n_total and not live_protos:
-            # jump over idle gaps between batches
-            t = releases[next_job]
-            continue
+    loop.run(watchdog, instance.max_window)
 
-        n_live = len(live_protos)
-
-        # 2. collect actions
-        transmissions: List[Tuple[int, Message]] = []
-        tx_idx: List[int] = []
-        for i in range(n_live):
-            msg = live_act[i](t)
-            if msg is not None:
-                transmissions.append((live_ids[i], msg))
-                tx_idx.append(i)
-
-        if track_contention:
-            # Contention tracking pays for itself only under tracing or
-            # telemetry.  The capability check is one-time per protocol,
-            # upgraded lazily for wrappers that grow ``last_p`` on their
-            # first act().
-            contention = 0.0
-            have_contention = False
-            for i in range(n_live):
-                if live_has_p[i]:
-                    contention += float(live_protos[i].last_p)  # type: ignore[attr-defined]
-                    have_contention = True
-                else:
-                    p = getattr(live_protos[i], "last_p", None)
-                    if p is not None:
-                        live_has_p[i] = True
-                        contention += float(p)
-                        have_contention = True
-
-        # 3 + 4. resolve the slot and fan the observation out.  Inlined
-        # resolve_slot(): silence when nobody transmits, success when
-        # exactly one transmits un-jammed, noise otherwise.
-        slots_simulated += 1
-        outcome: Optional[SlotOutcome] = None
-        delivered_now = -1  # consumed only by the invariant checker
-        n_tx = len(transmissions)
-        channel_attempts += n_tx
-        if n_tx == 0:
-            jammed = (not no_jam) and jam.attempt(t, 0, None, ch_rng)
-            obs = _OBS_NOISE if jammed else _OBS_SILENCE
-            if need_outcome:
-                outcome = SlotOutcome(
-                    t, _NOISE if jammed else _SILENCE, None, 0, jammed
-                )
-            if corrupt is None:
-                for observe in live_observe:
-                    observe(t, obs)
-            else:
-                for observe in live_observe:
-                    observe(t, corrupt.corrupt(obs, f_rng))
-        elif n_tx == 1:
-            jid0, msg0 = transmissions[0]
-            i0 = tx_idx[0]
-            jammed = (not no_jam) and jam.attempt(t, 1, msg0, ch_rng)
-            if jammed:
-                live_jammed[i0] += 1
-                if need_outcome:
-                    outcome = SlotOutcome(t, _NOISE, None, 1, True)
-                if corrupt is None:
-                    for i in range(n_live):
-                        live_observe[i](
-                            t, _OBS_NOISE_TX if i == i0 else _OBS_NOISE
-                        )
-                else:
-                    for i in range(n_live):
-                        live_observe[i](
-                            t,
-                            corrupt.corrupt(
-                                _OBS_NOISE_TX if i == i0 else _OBS_NOISE,
-                                f_rng,
-                            ),
-                        )
-            else:
-                if need_outcome:
-                    outcome = SlotOutcome(t, _SUCCESS, msg0, 1, False)
-                kind = msg0.kind
-                if kind == KIND_DATA:
-                    delivered_slot.setdefault(msg0.sender, t)
-                    delivered_now = msg0.sender
-                elif kind == KIND_BEACON and msg0.payload is not None:
-                    delivered_slot.setdefault(msg0.payload.sender, t)
-                    delivered_now = msg0.payload.sender
-                obs_listen = Observation(_SUCCESS, msg0, False, False)
-                obs_tx = Observation(_SUCCESS, msg0, True, msg0.sender == jid0)
-                if corrupt is None:
-                    for i in range(n_live):
-                        live_observe[i](t, obs_tx if i == i0 else obs_listen)
-                else:
-                    for i in range(n_live):
-                        live_observe[i](
-                            t,
-                            corrupt.corrupt(
-                                obs_tx if i == i0 else obs_listen, f_rng
-                            ),
-                        )
-        else:
-            jammed = (not no_jam) and jam.attempt(t, n_tx, None, ch_rng)
-            if jammed:
-                for i in tx_idx:
-                    live_jammed[i] += 1
-            if need_outcome:
-                outcome = SlotOutcome(t, _NOISE, None, n_tx, jammed)
-            k = 0
-            if corrupt is None:
-                for i in range(n_live):
-                    if k < n_tx and tx_idx[k] == i:
-                        live_observe[i](t, _OBS_NOISE_TX)
-                        k += 1
-                    else:
-                        live_observe[i](t, _OBS_NOISE)
-            else:
-                for i in range(n_live):
-                    if k < n_tx and tx_idx[k] == i:
-                        live_observe[i](t, corrupt.corrupt(_OBS_NOISE_TX, f_rng))
-                        k += 1
-                    else:
-                        live_observe[i](t, corrupt.corrupt(_OBS_NOISE, f_rng))
-
-        if checker is not None:
-            checker.after_slot(t, delivered_now, live_ids, live_protos, tx_idx)
-
-        if tele_slot is not None:
-            tele_slot(
-                n_tx,
-                jammed,
-                n_live,
-                contention if have_contention else float("nan"),
-            )
-
-        if recorder is not None:
-            assert outcome is not None
-            recorder.record(
-                outcome,
-                n_live=n_live,
-                contention=contention if have_contention else float("nan"),
-            )
-        if observers:
-            assert outcome is not None
-            ids = tuple(live_ids)
-            for cb in observers:
-                cb(outcome, ids)
-
-        # 5. retire
-        t += 1
-        any_dead = False
-        for i in range(n_live):
-            p = live_protos[i]
-            if p.succeeded or p.gave_up or t >= live_deadline[i]:
-                any_dead = True
-                break
-        if any_dead:
-            keep_ids: List[int] = []
-            keep_jobs: List[Job] = []
-            keep_protos: List[Protocol] = []
-            keep_act: List[Callable[[int], Optional[Message]]] = []
-            keep_observe: List[Callable[[int, Observation], None]] = []
-            keep_deadline: List[int] = []
-            keep_has_p: List[bool] = []
-            keep_jammed: List[int] = []
-            for i in range(n_live):
-                p = live_protos[i]
-                if p.succeeded or p.gave_up or t >= live_deadline[i]:
-                    finalize(live_jobs[i], p, live_jammed[i])
-                else:
-                    keep_ids.append(live_ids[i])
-                    keep_jobs.append(live_jobs[i])
-                    keep_protos.append(p)
-                    keep_act.append(live_act[i])
-                    keep_observe.append(live_observe[i])
-                    keep_deadline.append(live_deadline[i])
-                    keep_has_p.append(live_has_p[i])
-                    keep_jammed.append(live_jammed[i])
-            live_ids = keep_ids
-            live_jobs = keep_jobs
-            live_protos = keep_protos
-            live_act = keep_act
-            live_observe = keep_observe
-            live_deadline = keep_deadline
-            live_has_p = keep_has_p
-            live_jammed = keep_jammed
-
-        if wd is not None:
-            if delivered_now >= 0:
-                wd_progress_mark = slots_simulated
-            if wd_slot_limit is not None and slots_simulated >= wd_slot_limit:
-                wd_trip = WatchdogTrip(
-                    REASON_SLOTS,
-                    t - 1,
-                    slots_simulated,
-                    f"max_slots={wd_slot_limit}",
-                )
-            elif (
-                wd_stall_limit is not None
-                and live_protos
-                and slots_simulated - wd_progress_mark >= wd_stall_limit
-            ):
-                wd_trip = WatchdogTrip(
-                    REASON_STALL,
-                    t - 1,
-                    slots_simulated,
-                    f"no delivery for {wd_stall_limit} slots "
-                    f"(stall_factor={wd.stall_factor:g})",
-                )
-            elif (
-                wd_deadline is not None
-                and slots_simulated % WALL_CHECK_PERIOD == 0
-                and time.perf_counter() > wd_deadline
-            ):
-                wd_trip = WatchdogTrip(
-                    REASON_WALL,
-                    t - 1,
-                    slots_simulated,
-                    f"max_seconds={wd.max_seconds:g}",
-                )
-            if wd_trip is not None:
-                break
-
-        if next_job >= n_total and not live_protos:
-            break
-
-    if wd_trip is not None:
-        # Graceful cancellation: jobs still live at the cut become failures
-        # (exactly the horizon-cut semantics) and the result is partial.
-        for i in range(len(live_protos)):
-            finalize(live_jobs[i], live_protos[i], live_jammed[i])
-        if tele_events is not None:
-            tele_events.emit(
-                wd_trip.event_kind,
-                wd_trip.slot,
-                -1,
-                slots_simulated=wd_trip.slots_simulated,
-                detail=wd_trip.detail,
-            )
-
-    # Jobs never activated (horizon cut): mark failed with zero attempts.
-    for job in jobs_sorted:
-        if job.job_id not in outcomes:
-            outcomes[job.job_id] = JobOutcome(job, JobStatus.FAILED, -1, 0)
-
-    ordered = tuple(outcomes[j.job_id] for j in instance.by_release)
+    trip = loop.trip
+    if trip is not None and loop.events is not None:
+        loop.events.emit(
+            trip.event_kind,
+            trip.slot,
+            -1,
+            slots_simulated=trip.slots_simulated,
+            detail=trip.detail,
+        )
+    # Jobs never activated (horizon cut): failed with zero attempts.
+    outcomes = loop.outcomes
     result = SimulationResult(
         instance=instance,
-        outcomes=ordered,
-        slots_simulated=slots_simulated,
+        outcomes=tuple(
+            outcomes.get(j.job_id) or JobOutcome(j, JobStatus.FAILED, -1, 0)
+            for j in instance.by_release
+        ),
+        slots_simulated=loop.slots_simulated,
         trace=recorder,
-        watchdog=wd_trip,
-        channel_attempts=channel_attempts,
+        watchdog=trip,
+        channel_attempts=loop.channel_attempts,
     )
-    if tele is not None:
-        tele.on_run_end(result)
+    if telemetry is not None:
+        telemetry.on_run_end(result)
     return result

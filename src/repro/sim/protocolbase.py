@@ -21,9 +21,10 @@ protocol documents which convention it follows.
 that slot every ``act`` would return ``None`` and every ``observe``
 would leave the protocol's state unchanged (display-only fields such as
 ``last_p`` aside), so an engine may skip both calls for the job until
-then.  The streaming engine calls it once right after ``begin`` and
-again with ``slot + 1`` after each slot the job was stepped in; the
-answer of a protocol that is done is never used.  The method is deliberately *not* defined here: engines look
+then.  The engines call it once right after ``begin`` and again with
+``slot + 1`` after each slot the job was stepped in; the answer of a
+protocol that is done is never used.  The method is deliberately *not*
+defined here: engines look
 it up on the instance (``getattr(proto, "next_wake", None)``), so a
 wrapping proxy forwards it, and protocols without it are stepped every
 slot.  The protocols that draw a fresh coin or read feedback every slot

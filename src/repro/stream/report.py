@@ -10,10 +10,13 @@ renders the operating curve:
 * **throughput ceiling** — the largest delivered throughput observed
   across the sweep (where the curve saturates: pushing ρ past it only
   grows the loss columns);
-* **deadline-miss / shed / loss rates** — how the protocol degrades
-  past the ceiling (graceful degradation is the point of admission
-  control: under ``shed-*`` policies the misses should convert to
-  explicit sheds, not latency collapse);
+* **deadline-miss / gave-up / shed / loss rates** — how the protocol
+  degrades past the ceiling (graceful degradation is the point of
+  admission control: under ``shed-*`` policies the misses should
+  convert to explicit sheds, not latency collapse).  Every row must
+  account for each released job exactly once — succeeded, missed,
+  gave up or shed — and :meth:`SustainedLoadReport.add` refuses a row
+  that does not;
 * **latency percentiles** (p50/p99/p999) from the per-run quantile
   sketches.
 
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import format_table
+from repro.errors import SimulationError
 from repro.stream.engine import StreamResult
 
 __all__ = ["SustainedLoadReport"]
@@ -43,6 +47,15 @@ class SustainedLoadReport:
     meta: Dict[str, object] = field(default_factory=dict)
 
     def add(self, rho: float, result: StreamResult) -> None:
+        r = result
+        outcomes = r.jobs_succeeded + r.jobs_missed + r.jobs_gave_up + r.jobs_shed
+        if outcomes != r.jobs_released:
+            raise SimulationError(
+                f"rho={rho:g}: succeeded {r.jobs_succeeded} + missed "
+                f"{r.jobs_missed} + gave up {r.jobs_gave_up} + shed "
+                f"{r.jobs_shed} = {outcomes}, but {r.jobs_released} "
+                "jobs were released"
+            )
         self.rows.append((float(rho), result))
 
     @property
@@ -69,6 +82,7 @@ class SustainedLoadReport:
                     r.jobs_released,
                     r.throughput,
                     r.miss_rate,
+                    r.jobs_gave_up / r.jobs_released if r.jobs_released else 0.0,
                     r.jobs_shed / r.jobs_released if r.jobs_released else 0.0,
                     r.loss_rate,
                     r.latency_quantile(0.50),
@@ -86,6 +100,7 @@ class SustainedLoadReport:
                 "jobs",
                 "throughput",
                 "miss rate",
+                "gave-up rate",
                 "shed rate",
                 "loss rate",
                 "p50",

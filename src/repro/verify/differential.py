@@ -693,9 +693,9 @@ def diff_streaming_equivalence(
     very draws the streaming run makes; the closed engine on that
     instance and :func:`~repro.stream.engine.stream_simulate` on the
     live stream (``max_slots=horizon``, no budget) must then agree
-    bit-for-bit — per-job status, completion slot, and transmission
-    count, plus the headline counts — under the case's jammer and fault
-    plan alike.
+    bit-for-bit — per-job status, completion slot, transmission count
+    and jammed-transmission count, plus the headline counts — under the
+    case's jammer and fault plan alike.
     """
     process = case.process()
     assert process is not None, "streaming-equivalence case without process"
@@ -749,10 +749,12 @@ def diff_streaming_equivalence(
             outcome.status,
             outcome.completion_slot,
             outcome.transmissions,
+            outcome.jammed_transmissions,
         )
         if got != want:
             mismatch(
-                f"job[{job.job_id}] (status, completion, transmissions)",
+                f"job[{job.job_id}] (status, completion, transmissions, "
+                "jammed_transmissions)",
                 want,
                 got,
                 detail=f"release {job.release}, window {job.window}",

@@ -142,3 +142,77 @@ class TestTrace:
             observers=[lambda out, live: seen.append((out.slot, live))],
         )
         assert seen and seen[0][1] == (0,)
+
+
+class TestHorizon:
+    """``horizon`` ends the run at the first idle gap at or after it."""
+
+    INSTANCE = Instance([Job(0, 0, 100), Job(1, 50, 150)])
+
+    def test_live_job_keeps_later_jobs_activating(self):
+        from repro.core.uniform import uniform_factory
+
+        # job 0 is live at slot 40, so job 1 still activates at 50 and
+        # the run lasts until job 1 retires
+        res = simulate(self.INSTANCE, uniform_factory(), seed=0, horizon=40)
+        assert res.slots_simulated == 121
+        assert [o.completion_slot for o in res.outcomes] == [96, 120]
+
+    def test_idle_gap_past_horizon_ends_the_run(self):
+        from repro.core.uniform import uniform_factory
+
+        # job 0 delivers at 48 and nobody is live past the horizon
+        res = simulate(self.INSTANCE, uniform_factory(), seed=2, horizon=40)
+        assert res.slots_simulated == 49
+        late = res.outcome_of(1)
+        assert late.status is JobStatus.FAILED
+        assert late.transmissions == 0
+
+
+class TestInstrumentationIsObservational:
+    """Trace, observers, telemetry and invariants never change outcomes.
+
+    They keep the engine stepping every live job every slot, while the
+    plain runs below step sparsely (UNIFORM, beb and slowfb sleep
+    between pre-drawn sends).
+    """
+
+    @pytest.mark.parametrize("jam", [0.0, 0.2])
+    @pytest.mark.parametrize("name", ["uniform", "beb", "slowfb", "sawtooth"])
+    def test_same_outcomes_with_and_without(self, name, jam):
+        from repro.channel.jamming import StochasticJammer
+        from repro.obs.telemetry import Telemetry
+        from repro.registry import protocol_factory
+        from repro.workloads import batch_instance
+
+        inst = batch_instance(24, window=256).merged(
+            batch_instance(8, window=64).relabeled(start=100).shifted(700)
+        )
+
+        def run(**kwargs):
+            res = simulate(
+                inst,
+                protocol_factory(name, {}, inst),
+                seed=3,
+                jammer=StochasticJammer(jam) if jam else None,
+                **kwargs,
+            )
+            return (
+                res.slots_simulated,
+                res.channel_attempts,
+                [
+                    (
+                        o.status,
+                        o.completion_slot,
+                        o.transmissions,
+                        o.jammed_transmissions,
+                    )
+                    for o in res.outcomes
+                ],
+            )
+
+        plain = run()
+        assert run(trace=True) == plain
+        assert run(observers=[lambda outcome, ids: None]) == plain
+        assert run(telemetry=Telemetry()) == plain
+        assert run(invariants=True) == plain

@@ -6,9 +6,12 @@ import pickle
 import pytest
 
 from repro.baselines.sawtooth import sawtooth_factory
+from repro.channel.jamming import PeriodicJammer, ReactiveJammer
+from repro.channel.messages import KIND_DATA
 from repro.baselines.softened import softened_factory
 from repro.core.uniform import uniform_factory
 from repro.errors import InvalidParameterError
+from repro.faults import FaultPlan, FeedbackFault
 from repro.stream.arrivals import PoissonProcess
 from repro.stream.checkpoint import (
     CheckpointConfig,
@@ -20,6 +23,10 @@ import repro.stream.engine as engine
 from repro.stream.engine import stream_simulate
 
 PROCESS = PoissonProcess(rate=0.25, window_sizes=(16, 64))
+
+
+def _is_data(message):
+    return message.kind == KIND_DATA
 
 
 class TestFormat:
@@ -164,6 +171,55 @@ class TestResume:
         # an equal factory built afresh digests the same and resumes
         resumed = stream_simulate(PROCESS, uniform_factory(), resume=True, **kwargs)
         assert resumed.resumed_at_slot >= 0
+
+    def test_resume_rejects_feedback_fault_drift(self, tmp_path):
+        # affect_transmitters changes results (a blind transmitter keeps
+        # sending) but is not shown by FaultPlan.describe()
+        path = str(tmp_path / "ck.bin")
+        kwargs = dict(
+            seed=3,
+            max_jobs=600,
+            checkpoint=CheckpointConfig(path, every_slots=500),
+        )
+        erase = dict(p_success_erasure=0.5)
+        stream_simulate(
+            PROCESS,
+            sawtooth_factory(),
+            faults=FaultPlan(feedback=FeedbackFault(**erase)),
+            **kwargs,
+        )
+        flipped = FaultPlan(
+            feedback=FeedbackFault(affect_transmitters=True, **erase)
+        )
+        with pytest.raises(CheckpointError):
+            stream_simulate(
+                PROCESS, sawtooth_factory(), faults=flipped, resume=True, **kwargs
+            )
+
+    @pytest.mark.parametrize(
+        "make_jammer",
+        [
+            lambda: PeriodicJammer(4, [0]),
+            lambda: ReactiveJammer(_is_data, 0.3),
+        ],
+        ids=["periodic", "reactive"],
+    )
+    def test_resume_accepts_an_equal_jammer(self, tmp_path, make_jammer):
+        # the key digests the jammer's content, not its object address
+        path = str(tmp_path / "ck.bin")
+        kwargs = dict(
+            seed=3,
+            max_jobs=600,
+            checkpoint=CheckpointConfig(path, every_slots=500),
+        )
+        # both alive at once, so the second cannot reuse the first's address
+        first, second = make_jammer(), make_jammer()
+        full = stream_simulate(PROCESS, sawtooth_factory(), jammer=first, **kwargs)
+        resumed = stream_simulate(
+            PROCESS, sawtooth_factory(), jammer=second, resume=True, **kwargs
+        )
+        assert resumed.resumed_at_slot >= 0
+        assert self._comparable(resumed) == self._comparable(full)
 
     def test_resume_rejects_older_stream_version(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ck.bin")

@@ -67,6 +67,7 @@ def _assert_equivalent(process, make_factory, seed, horizon, *,
             outcome.status,
             outcome.completion_slot,
             outcome.transmissions,
+            outcome.jammed_transmissions,
         ), f"job {outcome.job.job_id} diverged"
     assert stream.jobs_succeeded == closed.n_succeeded
     assert stream.slots_simulated == closed.slots_simulated
@@ -124,6 +125,7 @@ class TestClosedEquivalence:
                 outcome.status,
                 outcome.completion_slot,
                 outcome.transmissions,
+                outcome.jammed_transmissions,
             )
 
 

@@ -47,6 +47,21 @@ class TestShards:
             r.latency_sketch.count for r in per_shard
         )
 
+    def test_merged_jammed_transmissions_are_sums(self):
+        from dataclasses import replace
+
+        from repro.channel.jamming import StochasticJammer
+
+        specs = [replace(s, jammer=StochasticJammer(0.3)) for s in _specs(2)]
+        merged, per_shard = run_stream_shards(specs, processes=1)
+        assert all(r.jammed_transmissions > 0 for r in per_shard)
+        assert merged.jammed_transmissions == sum(
+            r.jammed_transmissions for r in per_shard
+        )
+        assert merged.to_dict()["jammed_transmissions"] == (
+            merged.jammed_transmissions
+        )
+
     def test_distinct_seeds_give_distinct_realizations(self):
         _, per_shard = run_stream_shards(_specs(2), processes=1)
         a, b = per_shard

@@ -1,10 +1,10 @@
 """Sparse wake-up stepping: skipping sleeping jobs must be bit-exact.
 
-Protocols that pre-draw their sends expose ``next_wake`` and the
-streaming engine skips their ``act``/``observe`` calls (and, without a
-jammer, whole slots) until then.  Masking ``next_wake`` on the instance
-makes the engine step the same protocol every slot, so each run below
-is compared against its own dense twin.
+Protocols that pre-draw their sends expose ``next_wake`` and both
+engines skip their ``act``/``observe`` calls (and, without a jammer,
+whole slots) until then.  Masking ``next_wake`` on the instance makes
+the engine step the same protocol every slot, so each run below is
+compared against its own dense twin.
 """
 
 import copy
@@ -30,10 +30,17 @@ from repro.channel.jamming import StochasticJammer
 from repro.channel.messages import DataMessage
 from repro.core.uniform import UniformProtocol, uniform_factory
 from repro.params import UniformParams
+from repro.sim.engine import simulate
 from repro.sim.job import Job
 from repro.sim.protocolbase import ProtocolContext
+from repro.sim.rng import RngFactory
 from repro.sim.watchdog import Watchdog
-from repro.stream.arrivals import BurstyProcess, DiurnalProcess, PoissonProcess
+from repro.stream.arrivals import (
+    BurstyProcess,
+    DiurnalProcess,
+    PoissonProcess,
+    materialize,
+)
 from repro.stream.checkpoint import CheckpointConfig
 from repro.stream.engine import StreamBudget, stream_simulate
 
@@ -233,6 +240,74 @@ def test_dense_protocols_keep_dense_stepping():
     a = stream_simulate(process, softened_factory(), seed=2, max_jobs=300)
     b = stream_simulate(process, Dense(softened_factory()), seed=2, max_jobs=300)
     assert _observed(a) == _observed(b)
+
+
+closed_configs = st.fixed_dictionaries(
+    {
+        "protocol": st.sampled_from(sorted(SPARSE)),
+        "process": st.sampled_from(sorted(PROCESSES)).map(PROCESSES.get),
+        "jam": st.booleans(),
+        "slots": st.integers(100, 900),
+        "horizon": st.one_of(st.none(), st.integers(50, 900)),
+        "watchdog": st.sampled_from(
+            [
+                None,
+                Watchdog(stall_factor=0.5),
+                Watchdog(max_slots=300),
+            ]
+        ),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+def _closed(factory, cfg):
+    instance = materialize(
+        cfg["process"], RngFactory(cfg["seed"]).stream("arrivals"), cfg["slots"]
+    )
+    res = simulate(
+        instance,
+        factory,
+        seed=cfg["seed"],
+        jammer=StochasticJammer(0.1) if cfg["jam"] else None,
+        horizon=cfg["horizon"],
+        watchdog=cfg["watchdog"],
+    )
+    return (
+        res.slots_simulated,
+        res.channel_attempts,
+        res.watchdog,
+        [
+            (o.status, o.completion_slot, o.transmissions, o.jammed_transmissions)
+            for o in res.outcomes
+        ],
+    )
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(cfg=closed_configs)
+def test_closed_sparse_stepping_matches_dense_stepping(cfg):
+    make = SPARSE[cfg["protocol"]]
+    assert _closed(make(), cfg) == _closed(Dense(make()), cfg)
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE))
+def test_closed_sparse_stepping_skips_sleeping_jobs(name):
+    instance = materialize(
+        PoissonProcess(rate=0.05, window_sizes=(256, 1024)),
+        RngFactory(4).stream("arrivals"),
+        3000,
+    )
+    sparse, dense = Counting(SPARSE[name]()), Counting(Dense(SPARSE[name]()))
+    a = simulate(instance, sparse, seed=4)
+    b = simulate(instance, dense, seed=4)
+    assert a.outcomes == b.outcomes
+    assert a.slots_simulated == b.slots_simulated
+    assert sparse.acts < dense.acts
 
 
 # ---------------------------------------------------------------------------

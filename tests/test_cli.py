@@ -559,6 +559,38 @@ class TestStream:
         assert exc.value.code not in (0, None)
         assert "different run configuration" in str(exc.value.code)
 
+    @pytest.mark.parametrize(
+        "first,second,accepted",
+        [("2", "3", False), ("1", "2", True)],
+        ids=["lam2-to-lam3", "lam1-to-lam2"],
+    )
+    def test_resume_checks_lam(self, capsys, tmp_path, first, second, accepted):
+        # punctual_params clamps lam to >= 2, so --lam 1 and --lam 2
+        # build the same protocol and may resume each other
+        ck = str(tmp_path / "ck.bin")
+        base = [
+            "stream",
+            "--rho", "0.05",
+            "--windows", "256,1024",
+            "--protocol", "punctual",
+            "--max-jobs", "150",
+            "--checkpoint", ck,
+            "--checkpoint-every", "2000",
+        ]
+        assert main(base + ["--lam", first]) == 0
+        first_out = capsys.readouterr().out
+        resume = base + ["--lam", second, "--resume"]
+        if accepted:
+            assert main(resume) == 0
+            second_out = capsys.readouterr().out
+            assert "resumed at slot" in second_out
+            assert first_out.splitlines()[-1] == second_out.splitlines()[-1]
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(resume)
+            assert exc.value.code not in (0, None)
+            assert "different run configuration" in str(exc.value.code)
+
     def test_checkpoint_rejects_multi_rho(self):
         with pytest.raises(SystemExit):
             main(
