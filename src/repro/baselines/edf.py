@@ -78,6 +78,13 @@ class OracleEdfProtocol(Protocol):
         self.last_p = 0.0
         return None
 
+    def next_wake(self, slot: int) -> int:
+        """Sleep until the assigned slot; a job without one wakes now
+        (its first :meth:`observe` gives up)."""
+        if self.assigned_slot is None:
+            return slot
+        return max(slot, self.assigned_slot)
+
     def on_observe(self, slot: int, obs) -> None:
         if self.assigned_slot is None or slot >= self.assigned_slot:
             if not self.succeeded:

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.channel.feedback import Observation
+from repro.channel.feedback import Feedback, Observation
 from repro.channel.messages import DataMessage, EstimateReport, Message
 from repro.core.schedule import BroadcastStep, EstimationStep, PeckingOrderView
 from repro.errors import InvalidInstanceError
@@ -159,7 +159,7 @@ class AlignedMachine:
         assert self.view is not None, "observe() before begin()"
         if obs.own_success and isinstance(obs.message, DataMessage):
             self.succeeded = True
-        self.view.on_slot_end(v, obs.feedback.name == "SUCCESS")
+        self.view.on_slot_end(v, obs.feedback is Feedback.SUCCESS)
 
 
 class AlignedProtocol(Protocol):

@@ -105,6 +105,9 @@ class EstimationTally:
 
     Every live job keeps one (identical) tally per tracked class; it is
     advanced once per active estimation step with the slot's feedback.
+    The length ``T_ℓ`` is fixed at construction, and the current phase
+    and completion are kept as counters, so a step costs no arithmetic
+    beyond the count update.
     """
 
     level: int
@@ -115,29 +118,39 @@ class EstimationTally:
     def __post_init__(self) -> None:
         if not self.counts:
             self.counts = [0] * self.level
-
-    @property
-    def total_steps(self) -> int:
-        return estimation_length(self.level, self.lam)
-
-    @property
-    def complete(self) -> bool:
-        return self.steps_seen >= self.total_steps
+        #: ``T_ℓ = λℓ²`` active steps.
+        self.total_steps = estimation_length(self.level, self.lam)
+        #: True once all ``T_ℓ`` steps are recorded.
+        self.complete = self.steps_seen >= self.total_steps
+        self._phase_len = self.lam * self.level
+        self._phase = 0  # 1-indexed phase of the next step (0 once complete)
+        self._left = 0  # steps left in that phase
+        if not self.complete:
+            done, into = divmod(self.steps_seen, self._phase_len)
+            self._phase = done + 1
+            self._left = self._phase_len - into
 
     def current_phase(self) -> int:
         """The 1-indexed phase of the *next* step to be taken."""
         if self.complete:
             raise ProtocolViolationError("estimation already complete")
-        return phase_of_step(self.level, self.lam, self.steps_seen)
+        return self._phase
 
     def record(self, success: bool) -> None:
         """Advance one active step with the slot's outcome."""
         if self.complete:
             raise ProtocolViolationError("record() after estimation completed")
-        phase = self.current_phase()
         if success:
-            self.counts[phase - 1] += 1
+            self.counts[self._phase - 1] += 1
         self.steps_seen += 1
+        self._left -= 1
+        if not self._left:
+            if self._phase == self.level:
+                self.complete = True
+                self._phase = 0
+            else:
+                self._phase += 1
+                self._left = self._phase_len
 
     def estimate(self, tau: int) -> int:
         """The resolved estimate; only valid once complete."""

@@ -23,8 +23,11 @@ The master per-job state machine of Figure 2:
   timekeeper slot.
 
 Every live synchronized job also broadcasts start messages in both START
-slots of every round (round-keeping), and every job passively feeds the
-:class:`~repro.core.leader.LeaderTracker` regardless of stage.
+slots of every round (round-keeping), and every job outside the ANARCHIST
+stage passively feeds the :class:`~repro.core.leader.LeaderTracker`.  An
+anarchist never leaves its stage and reads nothing but its own delivery,
+so it stops tracking and sleeps between its START and anarchy slots
+(:meth:`PunctualProtocol.next_wake`).
 
 Deviations / resolutions of underspecified points are listed in
 DESIGN.md §3; the notable ones: deadlines travel as *remaining rounds*;
@@ -92,6 +95,8 @@ class PunctualProtocol(Protocol):
         self.eff_window = _floor_pow2(ctx.window)
         self.eff_end: int = -1  # set at begin
         self.pullback_left = 0
+        self._p_claim = 0.0  # pullback probability, set on entering SLINGSHOT
+        self._p_anarchy = 0.0  # release probability, set on entering ANARCHIST
         self.machine: Optional[AlignedMachine] = None
         self.trim: Optional[Tuple[int, int]] = None  # virtual [start, end)
         self._machine_offset: Optional[int] = None  # vtime offset at build
@@ -123,6 +128,21 @@ class PunctualProtocol(Protocol):
 
     def on_begin(self, slot: int) -> None:
         self.eff_end = slot + self.eff_window
+
+    def next_wake(self, slot: int) -> int:
+        """Sparse wake-up: only the ANARCHIST stage sleeps.
+
+        An anarchist acts in the two START slots and the anarchy slot of
+        each round and in no other, and it reads no feedback in between.
+        Its wake-up is capped at ``eff_end``, where :meth:`on_act` gives
+        up.  Every other stage must see every slot.
+        """
+        if self.stage is not Stage.ANARCHIST:
+            return slot
+        index = self.sync.slot_index(slot)
+        if 2 <= index < ROUND_LENGTH - 1:
+            slot += ROUND_LENGTH - 1 - index
+        return min(slot, self.eff_end)
 
     def on_act(self, slot: int) -> Optional[Message]:
         self.last_p = 0.0
@@ -209,7 +229,7 @@ class PunctualProtocol(Protocol):
     def _act_election(self, t: int) -> Optional[Message]:
         if self.stage is not Stage.SLINGSHOT:
             return None
-        p = self.params.pullback_probability(self.eff_window)
+        p = self._p_claim
         self.last_p = p
         if self.ctx.rng.random() < p:
             return LeaderClaim(self.ctx.job_id, deadline=self._remaining_rounds(t))
@@ -218,7 +238,7 @@ class PunctualProtocol(Protocol):
     def _act_anarchist(self, t: int) -> Optional[Message]:
         if self.stage is not Stage.ANARCHIST or self.succeeded:
             return None
-        p = self.params.anarchist_probability(self.eff_window)
+        p = self._p_anarchy
         self.last_p = p
         if self.ctx.rng.random() < p:
             return DataMessage(self.ctx.job_id)
@@ -235,6 +255,8 @@ class PunctualProtocol(Protocol):
                 self.stage = Stage.WAIT_TK
                 self.emit("punctual.synced", slot)
             return
+        if self.stage is Stage.ANARCHIST:
+            return  # the base class records the anarchist's own delivery
 
         role = self.sync.role(slot)
         r = self._local_round(slot)
@@ -294,13 +316,18 @@ class PunctualProtocol(Protocol):
             self.eff_end = half_end
             self._enter_follow(t)
         else:
-            self.stage = Stage.ANARCHIST
-            self.emit("punctual.anarchist_release", t)
+            self._enter_anarchy(t)
 
     def _enter_slingshot(self, t: int) -> None:
         self.stage = Stage.SLINGSHOT
         self.pullback_left = self.params.pullback_duration(self.eff_window)
+        self._p_claim = self.params.pullback_probability(self.eff_window)
         self.emit("punctual.slingshot_entered", t)
+
+    def _enter_anarchy(self, t: int) -> None:
+        self.stage = Stage.ANARCHIST
+        self._p_anarchy = self.params.anarchist_probability(self.eff_window)
+        self.emit("punctual.anarchist_release", t)
 
     def _enter_follow(self, t: int) -> None:
         """Adopt the leader; trim and build the embedded ALIGNED machine.
@@ -322,16 +349,14 @@ class PunctualProtocol(Protocol):
         rounds_left = self._remaining_rounds(t)
         v_lo, v_hi = v + 1, v + rounds_left
         if v_hi - v_lo < 2:
-            self.stage = Stage.ANARCHIST
-            self.emit("punctual.anarchist_release", t)
+            self._enter_anarchy(t)
             return
         s, e = trimmed_window(v_lo, v_hi)
         level = window_class(e - s)
         if level < self.params.aligned.min_level:
             # trimmed window too small for the embedded schedule — the
             # paper's large-w₀ regime excludes this; simulate via anarchy.
-            self.stage = Stage.ANARCHIST
-            self.emit("punctual.anarchist_release", t)
+            self._enter_anarchy(t)
             return
         self.machine = AlignedMachine(
             self.ctx.job_id, level, self.params.aligned, self.ctx.rng

@@ -74,6 +74,10 @@ class ClassRun:
     (window size 1 leaves no room for coordination; a lone job just
     transmits).  Feasible instances with γ < 1 never contain class-0
     jobs, but the run must still be well-defined for schedule accounting.
+
+    The run's lengths are stored, not recomputed: :attr:`estimation_steps`
+    at construction, :attr:`total_steps` once the estimate resolves, and
+    :attr:`done` is updated by :meth:`advance`.
     """
 
     def __init__(self, level: int, params: AlignedParams) -> None:
@@ -82,32 +86,21 @@ class ClassRun:
         self.level = level
         self.params = params
         self.steps_taken = 0
-        self.tally: Optional[EstimationTally] = (
-            EstimationTally(level, params.lam) if level > 0 else None
-        )
+        #: True once every active step of the run is taken.
+        self.done = False
         self.estimate: Optional[int] = None
         self.schedule: Optional[BroadcastSchedule] = None
+        self.tally: Optional[EstimationTally] = None
+        #: Total active steps of the run; None until the estimate is known.
+        self.total_steps: Optional[int] = None
         if level == 0:
+            self.estimation_steps = 0
             self.estimate = 0
             self.schedule = BroadcastSchedule.trivial()
-
-    @property
-    def estimation_steps(self) -> int:
-        return 0 if self.tally is None else self.tally.total_steps
-
-    @property
-    def total_steps(self) -> Optional[int]:
-        """Total active steps of the run; None until the estimate is known."""
-        if self.level == 0:
-            return 1
-        if self.estimate is None:
-            return None
-        return total_active_steps(self.level, self.estimate, self.params.lam)
-
-    @property
-    def done(self) -> bool:
-        total = self.total_steps
-        return total is not None and self.steps_taken >= total
+            self.total_steps = 1
+        else:
+            self.tally = EstimationTally(level, params.lam)
+            self.estimation_steps = self.tally.total_steps
 
     def next_step(self) -> Step:
         """Describe the step the class takes in its next active slot."""
@@ -115,7 +108,7 @@ class ClassRun:
             raise ProtocolViolationError(
                 f"class {self.level} run is complete; no next step"
             )
-        if self.level > 0 and self.steps_taken < self.estimation_steps:
+        if self.total_steps is None:
             assert self.tally is not None
             return EstimationStep(StepKind.ESTIMATION, self.tally.current_phase())
         assert self.schedule is not None
@@ -132,18 +125,22 @@ class ClassRun:
             raise ProtocolViolationError(
                 f"advance() on completed class-{self.level} run"
             )
-        if self.level > 0 and self.steps_taken < self.estimation_steps:
-            assert self.tally is not None
-            self.tally.record(success)
-            self.steps_taken += 1
-            if self.tally.complete:
-                self.estimate = self.tally.estimate(self.params.tau)
-                if self.estimate:
-                    self.schedule = BroadcastSchedule(
-                        self.level, self.estimate, self.params.lam
-                    )
-            return
         self.steps_taken += 1
+        if self.total_steps is None:
+            tally = self.tally
+            assert tally is not None
+            tally.record(success)
+            if not tally.complete:
+                return
+            self.estimate = tally.estimate(self.params.tau)
+            if self.estimate:
+                self.schedule = BroadcastSchedule(
+                    self.level, self.estimate, self.params.lam
+                )
+            self.total_steps = total_active_steps(
+                self.level, self.estimate, self.params.lam
+            )
+        self.done = self.steps_taken >= self.total_steps
 
 
 class PeckingOrderView:
@@ -165,6 +162,13 @@ class PeckingOrderView:
         active = view.on_slot_start(t)   # None, or the active level
         ... channel resolution ...
         view.on_slot_end(t, success)
+
+    The view is kept incrementally.  Runs only reset at multiples of
+    ``2^min_level``, and such a slot always resets ``min_level``, which
+    then is active.  Between those slots the active class can only change
+    when its run finishes: every smaller class is already done and none
+    resets, so the next active class is the smallest unfinished one
+    above it.
     """
 
     def __init__(self, params: AlignedParams, max_level: int, origin: int) -> None:
@@ -184,9 +188,18 @@ class PeckingOrderView:
         self.runs: Dict[int, ClassRun] = {
             lv: ClassRun(lv, params) for lv in range(self.min_level, max_level + 1)
         }
+        self._boundary_mask = (1 << self.min_level) - 1
         self._expected_slot = origin
         self._active: Optional[int] = None
-        self._phase = "start"  # alternates start -> end
+        self._next: Optional[int] = None  # active class from the next slot on
+        self._in_slot = False  # between on_slot_start and on_slot_end
+
+    def _order_error(self, call: str, t: int) -> ProtocolViolationError:
+        phase = "end" if self._in_slot else "start"
+        return ProtocolViolationError(
+            f"{call}({t}) out of order "
+            f"(expected slot {self._expected_slot}, phase {phase})"
+        )
 
     def on_slot_start(self, t: int) -> Optional[int]:
         """Handle boundaries, then return the active level (or None).
@@ -194,33 +207,38 @@ class PeckingOrderView:
         None means every tracked class's run is complete — the slot
         belongs to some larger class, which this job need not model.
         """
-        if self._phase != "start" or t != self._expected_slot:
-            raise ProtocolViolationError(
-                f"on_slot_start({t}) out of order "
-                f"(expected slot {self._expected_slot}, phase {self._phase})"
-            )
-        for lv in range(self.min_level, self.max_level + 1):
-            if t % (1 << lv) == 0:
-                self.runs[lv] = ClassRun(lv, self.params)
-        self._active = None
-        for lv in range(self.min_level, self.max_level + 1):
-            if not self.runs[lv].done:
-                self._active = lv
-                break
-        self._phase = "end"
+        if self._in_slot or t != self._expected_slot:
+            raise self._order_error("on_slot_start", t)
+        if not t & self._boundary_mask:
+            runs, params = self.runs, self.params
+            for lv in range(self.min_level, self.max_level + 1):
+                if t & ((1 << lv) - 1):
+                    break  # not a multiple of 2^lv, so of no larger size
+                runs[lv] = ClassRun(lv, params)
+            self._next = self.min_level
+        self._active = self._next
+        self._in_slot = True
         return self._active
 
     def on_slot_end(self, t: int, success: bool) -> None:
         """Feed the slot's outcome; advances the active class's run."""
-        if self._phase != "end" or t != self._expected_slot:
-            raise ProtocolViolationError(
-                f"on_slot_end({t}) out of order "
-                f"(expected slot {self._expected_slot}, phase {self._phase})"
-            )
-        if self._active is not None:
-            self.runs[self._active].advance(success)
+        if not self._in_slot or t != self._expected_slot:
+            raise self._order_error("on_slot_end", t)
+        active = self._active
+        if active is not None:
+            run = self.runs[active]
+            run.advance(success)
+            if run.done:
+                self._next = next(
+                    (
+                        lv
+                        for lv in range(active + 1, self.max_level + 1)
+                        if not self.runs[lv].done
+                    ),
+                    None,
+                )
         self._expected_slot = t + 1
-        self._phase = "start"
+        self._in_slot = False
 
     # -- introspection -----------------------------------------------------
 

@@ -28,7 +28,9 @@ defined here: engines look
 it up on the instance (``getattr(proto, "next_wake", None)``), so a
 wrapping proxy forwards it, and protocols without it are stepped every
 slot.  The protocols that draw a fresh coin or read feedback every slot
-do not define it.
+do not define it.  A protocol may make its answer depend on its stage:
+it returns ``slot`` while it must see every slot, and a later slot only
+once it reaches a stage that sleeps (PUNCTUAL's anarchists do).
 
 Success tracking is redundant on purpose: the engine decides ground-truth
 delivery from channel outcomes, while protocols also track their own

@@ -8,9 +8,11 @@ compared against its own dense twin.
 """
 
 import copy
+import enum
 import json
 import os
 import tempfile
+from collections import deque
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.beb import BinaryExponentialBackoff, beb_factory
+from repro.baselines.edf import OracleEdfProtocol, edf_factory
 from repro.baselines.slowfeedback import SlowFeedbackBackoff, slowfeedback_factory
 from repro.baselines.softened import softened_factory
 from repro.baselines.windowed import (
@@ -27,9 +30,10 @@ from repro.baselines.windowed import (
 )
 from repro.channel.feedback import Feedback, Observation
 from repro.channel.jamming import StochasticJammer
-from repro.channel.messages import DataMessage
+from repro.channel.messages import DataMessage, LeaderClaim, TimekeeperBeacon
+from repro.core.punctual import PunctualProtocol, Stage, punctual_factory
 from repro.core.uniform import UniformProtocol, uniform_factory
-from repro.params import UniformParams
+from repro.params import PunctualParams, UniformParams
 from repro.sim.engine import simulate
 from repro.sim.job import Job
 from repro.sim.protocolbase import ProtocolContext
@@ -43,6 +47,9 @@ from repro.stream.arrivals import (
 )
 from repro.stream.checkpoint import CheckpointConfig
 from repro.stream.engine import StreamBudget, stream_simulate
+
+#: PUNCTUAL with a ``log(w)``-slot pullback (default ``2·log²(w)``).
+SHORT_PULLBACK = PunctualParams(lam=1, slingshot_exp=1)
 
 
 class Dense:
@@ -83,6 +90,16 @@ SPARSE = {
     "fixed": lambda: fixed_window_factory(8),
     "linear": linear_backoff_factory,
     "slowfb": slowfeedback_factory,
+    # PUNCTUAL sleeps in its ANARCHIST stage only; the short pullback
+    # sends more jobs there, through RECHECK_TK
+    "punctual": lambda: punctual_factory(PunctualParams()),
+    "punctual-short": lambda: punctual_factory(SHORT_PULLBACK),
+}
+
+#: Closed runs also cover the EDF oracle, whose factory needs the instance.
+CLOSED_SPARSE = {
+    **{name: (lambda instance, make=make: make()) for name, make in SPARSE.items()},
+    "edf": edf_factory,
 }
 
 PROCESSES = {
@@ -244,7 +261,7 @@ def test_dense_protocols_keep_dense_stepping():
 
 closed_configs = st.fixed_dictionaries(
     {
-        "protocol": st.sampled_from(sorted(SPARSE)),
+        "protocol": st.sampled_from(sorted(CLOSED_SPARSE)),
         "process": st.sampled_from(sorted(PROCESSES)).map(PROCESSES.get),
         "jam": st.booleans(),
         "slots": st.integers(100, 900),
@@ -261,10 +278,13 @@ closed_configs = st.fixed_dictionaries(
 )
 
 
-def _closed(factory, cfg):
+def _closed(name, cfg, dense):
     instance = materialize(
         cfg["process"], RngFactory(cfg["seed"]).stream("arrivals"), cfg["slots"]
     )
+    factory = CLOSED_SPARSE[name](instance)
+    if dense:
+        factory = Dense(factory)
     res = simulate(
         instance,
         factory,
@@ -291,18 +311,20 @@ def _closed(factory, cfg):
 )
 @given(cfg=closed_configs)
 def test_closed_sparse_stepping_matches_dense_stepping(cfg):
-    make = SPARSE[cfg["protocol"]]
-    assert _closed(make(), cfg) == _closed(Dense(make()), cfg)
+    name = cfg["protocol"]
+    assert _closed(name, cfg, dense=False) == _closed(name, cfg, dense=True)
 
 
-@pytest.mark.parametrize("name", sorted(SPARSE))
+@pytest.mark.parametrize("name", sorted(CLOSED_SPARSE))
 def test_closed_sparse_stepping_skips_sleeping_jobs(name):
     instance = materialize(
         PoissonProcess(rate=0.05, window_sizes=(256, 1024)),
         RngFactory(4).stream("arrivals"),
         3000,
     )
-    sparse, dense = Counting(SPARSE[name]()), Counting(Dense(SPARSE[name]()))
+    make = CLOSED_SPARSE[name]
+    sparse = Counting(make(instance))
+    dense = Counting(Dense(make(instance)))
     a = simulate(instance, sparse, seed=4)
     b = simulate(instance, dense, seed=4)
     assert a.outcomes == b.outcomes
@@ -315,21 +337,44 @@ def test_closed_sparse_stepping_skips_sleeping_jobs(name):
 # ---------------------------------------------------------------------------
 
 CONTRACT = {
-    "uniform": lambda ctx: UniformProtocol(ctx, UniformParams()),
-    "uniform3": lambda ctx: UniformProtocol(ctx, UniformParams(attempts=3)),
-    "beb": lambda ctx: BinaryExponentialBackoff(ctx, 1, 16),
-    "beb4": lambda ctx: BinaryExponentialBackoff(ctx, 4, 3),
-    "fixed": lambda ctx: WindowedBackoff(ctx, lambda k: 8, "fixed"),
-    "linear": lambda ctx: WindowedBackoff(ctx, lambda k: 3 * k, "linear"),
-    "slowfb": lambda ctx: SlowFeedbackBackoff(ctx, 2, 2),
-    "slowfb1": lambda ctx: SlowFeedbackBackoff(ctx, 1, 5),
+    "uniform": lambda ctx, job: UniformProtocol(ctx, UniformParams()),
+    "uniform3": lambda ctx, job: UniformProtocol(ctx, UniformParams(attempts=3)),
+    "beb": lambda ctx, job: BinaryExponentialBackoff(ctx, 1, 16),
+    "beb4": lambda ctx, job: BinaryExponentialBackoff(ctx, 4, 3),
+    "fixed": lambda ctx, job: WindowedBackoff(ctx, lambda k: 8, "fixed"),
+    "linear": lambda ctx, job: WindowedBackoff(ctx, lambda k: 3 * k, "linear"),
+    "slowfb": lambda ctx, job: SlowFeedbackBackoff(ctx, 2, 2),
+    "slowfb1": lambda ctx, job: SlowFeedbackBackoff(ctx, 1, 5),
+    "edf": lambda ctx, job: OracleEdfProtocol(ctx, job.release + job.window // 2),
+    "edf-unassigned": lambda ctx, job: OracleEdfProtocol(ctx, None),
+    "punctual": lambda ctx, job: PunctualProtocol(ctx, SHORT_PULLBACK),
 }
 
 _BASE_STATE = ("started", "start_slot", "succeeded", "gave_up", "transmissions")
 
 
+def _plain(value):
+    """``value`` as comparable data.
+
+    Objects compared by identity (the round synchronizer, the leader
+    tracker, the ALIGNED machine and its view) become their ``vars()``,
+    recursively, and a generator becomes its bit-generator state.
+    """
+    if isinstance(value, enum.Enum):
+        return value
+    if isinstance(value, np.random.Generator):
+        return copy.deepcopy(value.bit_generator.state)
+    if isinstance(value, (list, tuple, deque)):
+        return (type(value).__name__, [_plain(v) for v in value])
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if type(value).__eq__ is object.__eq__ and hasattr(value, "__dict__"):
+        return (type(value).__name__, _plain(vars(value)))
+    return copy.deepcopy(value)
+
+
 def _state(proto):
-    snap = {k: copy.deepcopy(v) for k, v in vars(proto).items() if k != "last_p"}
+    snap = {k: _plain(v) for k, v in vars(proto).items() if k != "last_p"}
     snap.update((k, getattr(proto, k)) for k in _BASE_STATE)
     snap["rng"] = copy.deepcopy(proto.ctx.rng.bit_generator.state)
     return snap
@@ -348,23 +393,19 @@ def _feedback(rng, proto, msg):
     return Observation.noise(False) if u < 0.6 else Observation.silence(False)
 
 
-@pytest.mark.parametrize("name", sorted(CONTRACT))
-@pytest.mark.parametrize("seed", range(12))
-def test_wake_contract(name, seed):
-    rng = np.random.default_rng(seed)
-    release = int(rng.integers(0, 50))
-    job = Job(7, release, release + int(rng.choice([1, 2, 16, 64, 200])))
-    proto = CONTRACT[name](ProtocolContext.for_job(job, np.random.default_rng(seed)))
-    proto.begin(release)
-    wake = proto.next_wake(release)
-    assert wake >= release
+def _drive(name, proto, job, rng, feedback=_feedback):
+    """Step ``proto`` every slot of its window, checking that it neither
+    sends nor changes state before each wake; returns (slept, woke)."""
+    proto.begin(job.release)
+    wake = proto.next_wake(job.release)
+    assert wake >= job.release
     slept = woke = 0
-    for slot in range(release, job.deadline):
+    for slot in range(job.release, job.deadline):
         if proto.done:
             break
         before = _state(proto)
         msg = proto.act(slot)
-        proto.observe(slot, _feedback(rng, proto, msg))
+        proto.observe(slot, feedback(rng, proto, msg))
         if slot < wake:
             slept += 1
             assert msg is None, f"{name} sent at {slot} before its wake {wake}"
@@ -376,4 +417,47 @@ def test_wake_contract(name, seed):
                 break
             wake = proto.next_wake(slot + 1)
             assert wake > slot
+    return slept, woke
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+@pytest.mark.parametrize("seed", range(12))
+def test_wake_contract(name, seed):
+    rng = np.random.default_rng(seed)
+    release = int(rng.integers(0, 50))
+    job = Job(7, release, release + int(rng.choice([1, 2, 16, 64, 200])))
+    ctx = ProtocolContext.for_job(job, np.random.default_rng(seed))
+    slept, woke = _drive(name, CONTRACT[name](ctx, job), job, rng)
     assert woke >= 1 or slept == job.window
+
+
+def _leader_after_anarchy(rng, proto, msg):
+    """:func:`_feedback`, except that the job's own leader claims collide,
+    so it goes from its pullback to anarchy; once it is an anarchist, a
+    leader's beacons and claims fill some of the slots it listens in."""
+    if isinstance(msg, LeaderClaim):
+        rng.random()
+        return Observation.noise(True)
+    if msg is None and proto.stage is Stage.ANARCHIST and rng.random() < 0.3:
+        other = proto.ctx.job_id + 1
+        if rng.random() < 0.5:
+            leader = TimekeeperBeacon(
+                other, global_time=50, deadline=40, abdicating=False
+            )
+        else:
+            leader = LeaderClaim(other, deadline=60)
+        return Observation(Feedback.SUCCESS, leader, False, False)
+    return _feedback(rng, proto, msg)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_wake_contract_punctual_anarchist(seed):
+    rng = np.random.default_rng(seed)
+    release = int(rng.integers(0, 50))
+    job = Job(7, release, release + int(rng.choice([300, 700, 1024])))
+    proto = PunctualProtocol(
+        ProtocolContext.for_job(job, np.random.default_rng(seed)), SHORT_PULLBACK
+    )
+    slept, woke = _drive("punctual", proto, job, rng, _leader_after_anarchy)
+    assert proto.stage is Stage.ANARCHIST
+    assert slept > 0 and woke > 0
